@@ -26,7 +26,10 @@
 #   live     incremental-pipeline equivalence: generate a world, replay
 #            its update archive through `georank live`, and assert the
 #            final GRSNAP01 file is byte-identical to a batch
-#            `georank snapshot` of the same archive
+#            `georank snapshot` of the same archive, once with the
+#            inferred clique and once with the generator's clique pinned
+#            (that pass must take both the delta path and the day-close
+#            fallback)
 #   recovery crash-safety end to end: feed half an update archive into a
 #            journaled `georank live` through a fifo, `kill -9` it once
 #            the journal holds the burst, restart with `--recover` on
@@ -299,6 +302,8 @@ if [[ "$SKIP_LIVE" -eq 0 ]]; then
   # which is what makes byte-compare (not just semantic compare) fair.
   rm "$LIVE_TMP/world/ribs.txt"
 
+  # Pass 1, the default setup: no --clique, so both sides infer the
+  # clique and every live flush re-sanitizes in full.
   ./build/tools/georank snapshot --dir "$LIVE_TMP/world" \
     --out "$LIVE_TMP/batch.grsnap" --id 11 --label live-ci --created 1617235200 \
     > /dev/null
@@ -312,9 +317,34 @@ if [[ "$SKIP_LIVE" -eq 0 ]]; then
     || { cat "$LIVE_TMP/live.log"; echo "live tier FAIL: expected multiple incremental flushes, got $FLUSHES"; exit 1; }
   cmp "$LIVE_TMP/batch.grsnap" "$LIVE_TMP/live.grsnap" \
     || { echo "live tier FAIL: incremental snapshot differs from batch recompute"; exit 1; }
+
+  # Pass 2 pins the generator's clique on both sides. An inferred clique
+  # reads the final day's paths, so only a pinned one lets the live side
+  # re-sanitize incrementally. Each flush names its path: within a day
+  # the burst goes through Pipeline::apply_delta; the first flush loads,
+  # and a flush after a day close falls back to re-sanitizing the
+  # window, so with ~400 updates a day and --batch 750 both must show up.
+  ./build/tools/georank snapshot --dir "$LIVE_TMP/world" \
+    --clique "$LIVE_TMP/world/clique.txt" \
+    --out "$LIVE_TMP/batch-clique.grsnap" --id 11 --label live-ci --created 1617235200 \
+    > /dev/null
+  ./build/tools/georank live --dir "$LIVE_TMP/world" --batch 750 \
+    --clique "$LIVE_TMP/world/clique.txt" \
+    --out "$LIVE_TMP/live-clique.grsnap" --id 11 --label live-ci --created 1617235200 \
+    > "$LIVE_TMP/live-clique.log"
+  grep -q "replay done" "$LIVE_TMP/live-clique.log" \
+    || { cat "$LIVE_TMP/live-clique.log"; echo "live tier FAIL: pinned-clique replay did not finish"; exit 1; }
+  DELTAS="$(grep -c 'path delta' "$LIVE_TMP/live-clique.log" || true)"
+  FULLS="$(grep -c 'path full' "$LIVE_TMP/live-clique.log" || true)"
+  [[ "$DELTAS" -ge 1 ]] \
+    || { cat "$LIVE_TMP/live-clique.log"; echo "live tier FAIL: no flush took the delta path"; exit 1; }
+  [[ "$FULLS" -ge 2 ]] \
+    || { cat "$LIVE_TMP/live-clique.log"; echo "live tier FAIL: no flush fell back after a day close"; exit 1; }
+  cmp "$LIVE_TMP/batch-clique.grsnap" "$LIVE_TMP/live-clique.grsnap" \
+    || { echo "live tier FAIL: pinned-clique incremental snapshot differs from batch recompute"; exit 1; }
   rm -rf "$LIVE_TMP"
   trap - EXIT
-  echo "live tier OK ($FLUSHES incremental flushes, snapshots byte-identical)"
+  echo "live tier OK ($FLUSHES incremental flushes; pinned clique: $DELTAS delta, $FULLS full; snapshots byte-identical)"
 else
   echo "==> live stage skipped (--skip-live)"
 fi
@@ -444,7 +474,7 @@ if [[ "$SKIP_TSAN" -eq 0 ]]; then
   # RobustnessHarness trial fan-out, and the HTTP loopback suite
   # (client threads hammering while snapshots hot-swap).
   ctest --test-dir build-tsan --output-on-failure \
-    -R "ParallelFor|PipelineStress|Pipeline\.|MrtStream|Robustness|HttpLoopback"
+    -R "ParallelFor|PipelineStress|Pipeline\.|MrtStream|Robustness|HttpLoopback|ApplyDelta\.QueriesRace"
 else
   echo "==> ThreadSanitizer stage skipped (--skip-tsan)"
 fi

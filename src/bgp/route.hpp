@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,20 @@ struct RouteEntry {
   AsPath path;
 
   friend bool operator==(const RouteEntry&, const RouteEntry&) = default;
+};
+
+/// One net change to a day's table, keyed by (VP, prefix): the path the
+/// key held before the change and the path it holds after it. An absent
+/// `old_path` means the key was not in the table; an absent `new_path`
+/// means it was withdrawn. The live pipeline hands a burst to
+/// core::Pipeline::apply_delta as these.
+struct RouteDelta {
+  VpId vp;
+  Prefix prefix;
+  std::optional<AsPath> old_path;
+  std::optional<AsPath> new_path;
+
+  friend bool operator==(const RouteDelta&, const RouteDelta&) = default;
 };
 
 /// A RIB snapshot from one (synthetic) dump day across all collectors.

@@ -129,6 +129,11 @@ void RibState::restore(const std::vector<RouteEntry>& entries,
   spurious_withdrawals_ = spurious;
 }
 
+const AsPath* RibState::find(const VpId& vp, const Prefix& prefix) const {
+  const auto it = routes_.find(Key{vp, prefix});
+  return it == routes_.end() ? nullptr : &it->second;
+}
+
 RibSnapshot RibState::snapshot(int day) const {
   RibSnapshot snap;
   snap.day = day;

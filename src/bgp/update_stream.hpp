@@ -83,7 +83,10 @@ class RibState {
     return spurious_withdrawals_;
   }
 
-  /// Current table as a snapshot (entries in deterministic order).
+  /// The path `vp` holds for `prefix`, or nullptr when it has none.
+  [[nodiscard]] const AsPath* find(const VpId& vp, const Prefix& prefix) const;
+
+  /// Current table as a snapshot, entries in (VP, prefix) order.
   [[nodiscard]] RibSnapshot snapshot(int day) const;
 
   /// Replaces the table with `entries` (as produced by snapshot()) and

@@ -44,6 +44,20 @@ struct CountryHealth {
   }
 };
 
+class PathShard;
+
+/// One country's health: VP coverage and distinct accepted prefixes
+/// (with their address weight) from the rows of `shard` whose prefix
+/// geolocates there (nullptr = no such rows), the no-consensus
+/// rejections attributed to it, and the tiers all of that earns under
+/// `policy`. The one worker behind robust::compute_health and
+/// Pipeline::country_health.
+[[nodiscard]] CountryHealth shard_health(geo::CountryCode country,
+                                         const PathShard* shard,
+                                         std::size_t no_consensus_prefixes,
+                                         std::uint64_t no_consensus_addresses,
+                                         const DegradationPolicy& policy);
+
 }  // namespace georank::core
 
 namespace georank::robust {

@@ -1,11 +1,9 @@
 #include "core/pipeline.hpp"
 
 #include <optional>
-#include <set>
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 #include "util/parallel_for.hpp"
 
@@ -87,6 +85,45 @@ Pipeline::ApplyResult Pipeline::apply_updates(const bgp::RibCollection& ribs) {
   return out;
 }
 
+std::optional<Pipeline::ApplyResult> Pipeline::apply_delta(
+    int day, std::span<const bgp::RouteDelta> deltas) {
+  const std::lock_guard<std::mutex> serial(cache_->load_serial);
+  if (!sanitized_.has_value() || !store_.has_value()) return std::nullopt;
+  // Planning only reads the world, and load_serial already excludes
+  // every writer, so it runs outside the reload lock; queries wait only
+  // for the patch below.
+  std::optional<sanitize::IncrementalSanitizer::DeltaPlan> plan =
+      sanitizer_.plan_delta(day, deltas, *sanitized_);
+  if (!plan) return std::nullopt;
+
+  const std::unique_lock<std::shared_mutex> reload(cache_->reload);
+  for (std::uint32_t row : plan->erase) {
+    count_geo_evidence_row(sanitized_->paths[row], /*added=*/false);
+  }
+  sanitize::IncrementalSanitizer::Outcome outcome;
+  const sanitize::IncrementalSanitizer::RowEdit edit =
+      sanitizer_.commit_delta(std::move(*plan), *sanitized_, &outcome);
+  for (std::uint32_t row : edit.inserted) {
+    count_geo_evidence_row(sanitized_->paths[row], /*added=*/true);
+  }
+  const ShardedPathStore::RebuildStats patched = store_->patch(
+      std::span<const sanitize::SanitizedPath>{sanitized_->paths}, edit.erased,
+      edit.inserted);
+
+  ApplyResult out;
+  out.delta_path = true;
+  out.sanitize_fast_path = outcome.fast_path;
+  out.days_resanitized = outcome.days_resanitized;
+  out.shards_kept = patched.shards_kept;
+  out.shards_rebuilt = patched.shards_rebuilt;
+  const EvictStats evicted = evict_changed_countries();
+  out.memos_evicted = evicted.evicted;
+  out.memos_kept = evicted.kept;
+  out.country_memos_evicted = evicted.country_evicted;
+  out.country_memos_kept = evicted.country_kept;
+  return out;
+}
+
 Pipeline::Checkpoint Pipeline::checkpoint() const {
   // load_serial excludes a concurrent load/apply/restore wholesale (they
   // hold it for their full duration, including the sanitizer-memo writes
@@ -98,12 +135,13 @@ Pipeline::Checkpoint Pipeline::checkpoint() const {
   require_loaded("Pipeline::checkpoint()");
   Checkpoint chk;
   chk.sanitizer_ = sanitizer_;
+  chk.sanitizer_->drop_delta_memo();
   chk.sanitized_ = *sanitized_;
   chk.store_ = store_->clone();
   chk.parse_stats_ = parse_stats_;
   chk.geo_evidence_ = geo_evidence_;
   chk.head_geo_evidence_ = head_geo_evidence_;
-  chk.head_seen_prefixes_ = head_seen_prefixes_;
+  chk.head_prefix_rows_ = head_prefix_rows_;
   chk.country_digests_ = country_digests_;
   chk.outbound_digests_ = outbound_digests_;
   {
@@ -178,7 +216,10 @@ Pipeline::ApplyResult Pipeline::restore(const Checkpoint& checkpoint) {
   }
   geo_evidence_ = checkpoint.geo_evidence_;
   head_geo_evidence_ = checkpoint.head_geo_evidence_;
-  head_seen_prefixes_ = checkpoint.head_seen_prefixes_;
+  // Rebuilt by the next load() or apply_updates(); apply_delta()
+  // declines until then (the restored sanitizer has no delta memo).
+  prefix_rows_.clear();
+  head_prefix_rows_ = checkpoint.head_prefix_rows_;
   country_digests_ = checkpoint.country_digests_;
   outbound_digests_ = checkpoint.outbound_digests_;
   return out;
@@ -187,40 +228,52 @@ Pipeline::ApplyResult Pipeline::restore(const Checkpoint& checkpoint) {
 void Pipeline::rebuild_geo_evidence(bool sanitize_fast_path) {
   // Geolocation evidence for the confidence annotation: accepted weight
   // once per distinct sanitized prefix, plus the no-consensus weight each
-  // plurality country lost. The accepted tally counts a prefix at its
-  // FIRST row only, so when the sanitizer proved the head rows unchanged
-  // the tallies and seen-set captured at the head/final-day boundary are
-  // exact and only the final day's rows need scanning.
+  // plurality country lost. A prefix's weight counts while it has rows,
+  // so when the sanitizer proved the head rows unchanged the tallies and
+  // row counts captured at the head/final-day boundary are exact and
+  // only the final day's rows need scanning.
   const std::vector<sanitize::SanitizedPath>& paths = sanitized_->paths;
   const std::size_t boundary = sanitizer_.memo_head_rows();
-  std::unordered_set<bgp::Prefix, bgp::PrefixHash> seen;
   std::size_t begin = 0;
   if (sanitize_fast_path) {
     geo_evidence_ = head_geo_evidence_;
-    seen = head_seen_prefixes_;
+    prefix_rows_ = head_prefix_rows_;
     begin = boundary;
   } else {
     geo_evidence_.clear();
+    prefix_rows_.clear();
   }
   for (std::size_t i = begin; i < paths.size(); ++i) {
     if (!sanitize_fast_path && i == boundary) {
       head_geo_evidence_ = geo_evidence_;
-      head_seen_prefixes_ = seen;
+      head_prefix_rows_ = prefix_rows_;
     }
-    const sanitize::SanitizedPath& p = paths[i];
-    if (seen.insert(p.prefix).second) {
-      geo_evidence_[p.prefix_country].accepted += p.weight;
-    }
+    count_geo_evidence_row(paths[i], /*added=*/true);
   }
   if (!sanitize_fast_path && boundary == paths.size()) {
     head_geo_evidence_ = geo_evidence_;
-    head_seen_prefixes_ = seen;
+    head_prefix_rows_ = prefix_rows_;
   }
   for (const auto& [country, tally] :
        sanitized_->prefix_geo.no_consensus_by_plurality()) {
     GeoEvidence& evidence = geo_evidence_[country];
     evidence.rejected += tally.addresses;
     evidence.rejected_prefixes += tally.prefixes;
+  }
+}
+
+void Pipeline::count_geo_evidence_row(const sanitize::SanitizedPath& row,
+                                      bool added) {
+  if (added) {
+    if (++prefix_rows_[row.prefix] == 1) {
+      geo_evidence_[row.prefix_country].accepted += row.weight;
+    }
+    return;
+  }
+  const auto it = prefix_rows_.find(row.prefix);
+  if (--it->second == 0) {
+    prefix_rows_.erase(it);
+    geo_evidence_[row.prefix_country].accepted -= row.weight;
   }
 }
 
@@ -385,39 +438,13 @@ OutboundMetrics Pipeline::outbound(geo::CountryCode country) const {
 
 robust::CountryHealth Pipeline::country_health_uncached(
     geo::CountryCode country) const {
-  const robust::DegradationPolicy& policy = config_.degradation;
-  robust::CountryHealth h;
-  h.country = country;
-  if (const PathShard* shard = store_->shard(country)) {
-    std::set<bgp::VpId> national_vps;
-    std::set<bgp::VpId> international_vps;
-    std::set<bgp::Prefix> prefixes;
-    for (std::uint32_t row : shard->prefix_rows()) {
-      if (shard->vp_country(row) == country) {
-        national_vps.insert(shard->vp(row));
-      } else {
-        international_vps.insert(shard->vp(row));
-      }
-      if (prefixes.insert(shard->prefix(row)).second) {
-        h.geolocated_addresses += shard->weight(row);
-      }
-    }
-    h.national_vps = national_vps.size();
-    h.international_vps = international_vps.size();
-    h.accepted_prefixes = prefixes.size();
-  }
+  GeoEvidence evidence;
   if (const auto it = geo_evidence_.find(country); it != geo_evidence_.end()) {
-    h.no_consensus_prefixes =
-        static_cast<std::size_t>(it->second.rejected_prefixes);
-    h.no_consensus_addresses = it->second.rejected;
+    evidence = it->second;
   }
-  h.national_tier = policy.view_tier(h.national_vps);
-  h.international_tier = policy.view_tier(h.international_vps);
-  h.geo_tier = policy.geo_tier(h.geolocated_addresses, h.no_consensus_addresses);
-  h.overall = policy.country_tier(h.national_vps, h.international_vps,
-                                  h.geolocated_addresses,
-                                  h.no_consensus_addresses);
-  return h;
+  return shard_health(country, store_->shard(country),
+                      static_cast<std::size_t>(evidence.rejected_prefixes),
+                      evidence.rejected, config_.degradation);
 }
 
 robust::CountryHealth Pipeline::country_health(geo::CountryCode country) const {
@@ -433,31 +460,61 @@ robust::CountryHealth Pipeline::country_health(geo::CountryCode country) const {
   return cache_->health.try_emplace(country.raw(), health).first->second;
 }
 
-std::vector<CountryMetrics> Pipeline::all_countries() const {
-  // Copy the census under the reload lock, then release it before
-  // fanning out: workers each take the shared lock inside country(), and
-  // holding it here across the parallel region could deadlock against a
-  // writer-preferring load(). Each country is therefore atomic against a
-  // reload, the census as a whole is not.
+template <class Value, class Memo, class Compute>
+std::vector<Value> Pipeline::census_of(const Memo& memo, const char* where,
+                                       const Compute& compute) const {
+  // Copy the census domain and resolve memo hits under the reload lock,
+  // then release it before fanning out the misses: workers each take
+  // the shared lock inside `compute`, and holding it here across the
+  // parallel region could deadlock against a writer-preferring load().
+  // Each country is therefore atomic against a reload, the census as a
+  // whole is not.
   std::vector<geo::CountryCode> countries;
   std::vector<std::uint64_t> costs;
+  std::vector<Value> out;
+  std::vector<std::size_t> misses;
   {
     const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-    require_loaded("Pipeline::all_countries()");
+    require_loaded(where);
     countries = store_->countries();
     costs = store_->census_costs();
+    out.resize(countries.size());
+    const std::lock_guard<std::mutex> lock(cache_->mutex);
+    for (std::size_t i = 0; i < countries.size(); ++i) {
+      const auto it = memo.find(countries[i].raw());
+      if (it == memo.end()) {
+        misses.push_back(i);
+      } else {
+        out[i] = it->second;
+      }
+    }
   }
 
   // Disjoint-slot writes keyed by the (sorted) country list: the output
   // is a pure function of the inputs, independent of scheduling, so the
   // census is identical for any GEORANK_THREADS value. The costed
-  // fan-out hands out the biggest shards first so one giant country
-  // cannot end up as the last item on a single worker.
-  std::vector<CountryMetrics> out(countries.size());
-  util::parallel_for_costed(costs, [&](std::size_t i) {
-    out[i] = country(countries[i]);
+  // fan-out hands out the biggest missing shards first so one giant
+  // country cannot end up as the last item on a single worker; with no
+  // misses nothing is spawned.
+  std::vector<std::uint64_t> miss_costs;
+  miss_costs.reserve(misses.size());
+  for (std::size_t i : misses) miss_costs.push_back(costs[i]);
+  util::parallel_for_costed(miss_costs, [&](std::size_t k) {
+    out[misses[k]] = compute(countries[misses[k]]);
   });
   return out;
+}
+
+std::vector<CountryMetrics> Pipeline::all_countries() const {
+  return census_of<CountryMetrics>(
+      cache_->country, "Pipeline::all_countries()",
+      [this](geo::CountryCode cc) { return country(cc); });
+}
+
+std::vector<robust::CountryHealth> Pipeline::all_country_health() const {
+  return census_of<robust::CountryHealth>(
+      cache_->health, "Pipeline::all_country_health()",
+      [this](geo::CountryCode cc) { return country_health(cc); });
 }
 
 rank::Ranking Pipeline::global_cone_by_as_count() const {

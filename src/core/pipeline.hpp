@@ -20,9 +20,9 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/mrt_stream.hpp"
@@ -94,6 +94,9 @@ class Pipeline {
     std::size_t country_memos_kept = 0;
     bool sanitize_fast_path = false;   // final-day-only incremental run
     std::size_t days_resanitized = 0;  // days the sanitizer re-filtered
+    /// apply_delta patched the changed rows in place (implies
+    /// sanitize_fast_path with no day re-filtered).
+    bool delta_path = false;
   };
 
   /// Incremental counterpart of load(). The sanitizer's filters are
@@ -108,8 +111,30 @@ class Pipeline {
   /// rankings and health entries. Queries afterwards are bit-identical
   /// to a from-scratch load() of the same collection. parse_stats() is
   /// left untouched (updates arrive pre-parsed). Takes the reload lock
-  /// exclusively for the swap, like load().
+  /// exclusively for the swap, like load(). A burst that only rewrites
+  /// the final day still re-filters that whole day here; when the
+  /// caller knows the burst itself, apply_delta() is O(burst).
   ApplyResult apply_updates(const bgp::RibCollection& ribs);
+
+  /// The O(burst) counterpart of apply_updates() for a burst that
+  /// changed only final day `day` of the collection last loaded or
+  /// applied: `deltas` are its net changes, at most one per (VP, prefix)
+  /// key, each with the path the key held in that collection. The
+  /// sanitizer re-filters each changed key's old and new entry only and
+  /// patches the (VP, prefix)-sorted final-day rows, stats and dedup
+  /// state in place (sanitize::IncrementalSanitizer::plan_delta), geo
+  /// evidence adjusts per-prefix tallies, and the store re-interns the
+  /// changed rows and re-gathers only the shards of countries on an old
+  /// or new changed row. The result is bit-identical to apply_updates()
+  /// of the changed collection. Returns nullopt — world untouched —
+  /// when a proof fails: nothing loaded, an inferred clique, audit
+  /// samples on, a final day not keyed by route, a prefix whose
+  /// final-day presence crosses the stability threshold, or an old path
+  /// the loaded world does not hold; the caller then falls back to
+  /// apply_updates(). Plans outside the reload lock and takes it
+  /// exclusively only for the in-place patch.
+  std::optional<ApplyResult> apply_delta(int day,
+                                         std::span<const bgp::RouteDelta> deltas);
 
   /// Per-country geolocation evidence behind the confidence annotation:
   /// accepted effective addresses (distinct sanitized prefixes), plus
@@ -122,6 +147,13 @@ class Pipeline {
     std::uint64_t rejected_prefixes = 0;
   };
   [[nodiscard]] GeoEvidence geo_evidence(geo::CountryCode country) const;
+
+ private:
+  /// Accepted rows per distinct sanitized prefix: a prefix's accepted
+  /// weight counts toward its country while it has at least one row.
+  using PrefixRows = std::unordered_map<bgp::Prefix, std::uint32_t, bgp::PrefixHash>;
+
+ public:
 
   /// A captured world: the sanitized path set, a deep copy of the
   /// sharded store, the geo evidence, the per-country digests, the memo
@@ -145,7 +177,7 @@ class Pipeline {
         geo_evidence_;
     std::unordered_map<geo::CountryCode, GeoEvidence, geo::CountryCodeHash>
         head_geo_evidence_;
-    std::unordered_set<bgp::Prefix, bgp::PrefixHash> head_seen_prefixes_;
+    PrefixRows head_prefix_rows_;
     std::unordered_map<std::uint16_t, std::uint64_t> country_digests_;
     std::unordered_map<std::uint16_t, std::uint64_t> outbound_digests_;
     std::unordered_map<std::uint16_t, CountryMetrics> cache_country_;
@@ -166,6 +198,9 @@ class Pipeline {
   /// memo that was warm then is warm again — no recompute needed), and
   /// the sanitizer's cross-load memo is restored too, so a
   /// final-day-only apply_updates() after restore() still fast-paths.
+  /// The delta path's per-prefix counters are not captured (they would
+  /// double the copy for a path what-ifs never take), so apply_delta()
+  /// declines until a load() or apply_updates() re-arms it.
   /// The returned counters diff the checkpoint against the OUTGOING
   /// world: shards_kept counts shards whose content was already
   /// identical (the swap was a no-op for them), shards_rebuilt the ones
@@ -206,13 +241,19 @@ class Pipeline {
   [[nodiscard]] robust::CountryHealth country_health(
       geo::CountryCode country) const;
 
+  /// country_health() for every census country (store().countries()
+  /// order). Memo hits are resolved inline; only the misses fan out,
+  /// largest shard first, so a fully warm report starts no thread.
+  [[nodiscard]] std::vector<robust::CountryHealth> all_country_health() const;
+
   /// The full census: CountryMetrics for EVERY country with at least one
   /// geolocated prefix, sorted by country code. Computed in parallel
   /// over shards, largest shard first (util::parallel_for_costed with
   /// each shard's cost hint; GEORANK_THREADS caps the workers), with
   /// each country written to its own slot — the result is deterministic
   /// and identical across thread counts. Results land in the same memo
-  /// cache country() uses.
+  /// cache country() uses; memo hits are resolved inline and only the
+  /// misses fan out, so a fully warm census starts no thread.
   [[nodiscard]] std::vector<CountryMetrics> all_countries() const;
 
   /// Drops all memoized per-country results unconditionally (reloads
@@ -263,6 +304,16 @@ class Pipeline {
   /// the head/final-day boundary (cached on the previous full scan) is
   /// reused and only the suffix rows are re-scanned.
   void rebuild_geo_evidence(bool sanitize_fast_path);
+  /// Moves one row's prefix in or out of the per-prefix tallies behind
+  /// geo_evidence_ (apply_delta's patch). Under the exclusive lock.
+  void count_geo_evidence_row(const sanitize::SanitizedPath& row, bool added);
+  /// Memo-routed census over store_->countries(): hits inline under the
+  /// memo mutex, misses through `compute` (a memoizing query), fanned
+  /// out largest shard first.
+  template <class Value, class Memo, class Compute>
+  [[nodiscard]] std::vector<Value> census_of(const Memo& memo,
+                                             const char* where,
+                                             const Compute& compute) const;
   /// Compares the new world's per-country digests against the previous
   /// ones and erases only the memo entries whose digest changed (or
   /// whose country vanished). Called under the exclusive reload lock.
@@ -280,8 +331,8 @@ class Pipeline {
   /// Throws std::logic_error("<where>: no RIBs loaded") before load().
   void require_loaded(const char* where) const;
   [[nodiscard]] CountryMetrics country_uncached(geo::CountryCode country) const;
-  /// Exact port of compute_health's per-shard worker (plus the
-  /// rejected-only-country case, where the shard is absent); called with
+  /// core::shard_health over the country's shard and attributed
+  /// rejections (the worker robust::compute_health shares); called with
   /// the reload lock held shared.
   [[nodiscard]] robust::CountryHealth country_health_uncached(
       geo::CountryCode country) const;
@@ -301,12 +352,16 @@ class Pipeline {
   bgp::MrtParseStats parse_stats_;
   std::unordered_map<geo::CountryCode, GeoEvidence, geo::CountryCodeHash>
       geo_evidence_;
-  // Accepted-weight tallies and seen-prefix set as they stood at the
+  // Rows per accepted prefix in the current world: apply_delta adjusts
+  // these (and a prefix's country tally when its count leaves or
+  // reaches zero) instead of rescanning.
+  PrefixRows prefix_rows_;
+  // Accepted-weight tallies and rows per prefix as they stood at the
   // sanitizer's head/final-day row boundary, captured on the last full
   // evidence scan so a fast apply only re-scans the final day's rows.
   std::unordered_map<geo::CountryCode, GeoEvidence, geo::CountryCodeHash>
       head_geo_evidence_;
-  std::unordered_set<bgp::Prefix, bgp::PrefixHash> head_seen_prefixes_;
+  PrefixRows head_prefix_rows_;
   // Per-country content digests of the CURRENT world, written only under
   // the exclusive reload lock (like the rest of the world state above).
   // `country_digests_` folds geo evidence in (CountryMetrics.confidence

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -36,98 +38,176 @@ ShardedPathStore::ShardedPathStore(
   rebuild(paths, threads);
 }
 
+sanitize::PathHandle ShardedPathStore::intern(std::span<const bgp::Asn> hops) {
+  // Identical algorithm to PathStore: hash(hops) pre-selects candidates,
+  // content compare against the arena decides, first occurrence appends.
+  std::vector<sanitize::PathHandle>& bucket = interned_[hash_hops(hops)];
+  for (const sanitize::PathHandle& cand : bucket) {
+    if (cand.length == hops.size() &&
+        std::equal(hops.begin(), hops.end(), arena_.begin() + cand.offset)) {
+      return cand;
+    }
+  }
+  const sanitize::PathHandle handle{static_cast<std::uint32_t>(arena_.size()),
+                                    static_cast<std::uint32_t>(hops.size())};
+  arena_.insert(arena_.end(), hops.begin(), hops.end());
+  bucket.push_back(handle);
+  ++unique_paths_;
+  return handle;
+}
+
+bool ShardedPathStore::compact_if_sparse(
+    std::span<const sanitize::SanitizedPath> paths) {
+  // A fresh build never trips this (each interned path is some row's),
+  // so the arena only outgrows the rule by accumulating paths that
+  // earlier rebuilds' rows used and no current row does.
+  if (arena_.size() <= 2 * live_hops_) return false;
+  arena_.clear();
+  interned_.clear();
+  unique_paths_ = 0;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    handles_[i] = intern(paths[i].path.hops());
+  }
+  return true;
+}
+
 ShardedPathStore::RebuildStats ShardedPathStore::rebuild(
     std::span<const sanitize::SanitizedPath> paths, std::size_t threads,
     std::size_t unchanged_prefix_rows) {
-  RebuildStats result;
   const std::size_t n = paths.size();
   // The head shortcut needs the previous rebuild's caches to cover it;
   // clamping also makes a stale hint on a fresh store degrade to 0.
   const std::size_t head = std::min({unchanged_prefix_rows, handles_.size(), n});
-  const bool incremental = head > 0;
+  if (head > 0) {
+    // A proven-unchanged head is the row edit that replaces the suffix.
+    std::vector<std::uint32_t> erased(handles_.size() - head);
+    std::vector<std::uint32_t> inserted(n - head);
+    std::iota(erased.begin(), erased.end(), static_cast<std::uint32_t>(head));
+    std::iota(inserted.begin(), inserted.end(), static_cast<std::uint32_t>(head));
+    return patch(paths, erased, inserted, threads);
+  }
   size_ = n;
 
   // ---- Phase 1: shared hop dictionary (sequential, deterministic).
-  // Identical algorithm to PathStore: hash(hops) pre-selects candidates,
-  // content compare against the arena decides, first occurrence appends.
-  // The dictionary is a member and append-only, so handles issued by a
-  // previous build (still referenced by kept shards) remain valid —
-  // which is also why the cached handles of a proven-unchanged head can
-  // be reused verbatim: re-interning those rows would walk the same
-  // buckets and return the same handles.
-  handles_.resize(head);
+  // The dictionary is a member and append-only (until it compacts), so
+  // handles issued by a previous build and still referenced by shards
+  // kept below remain valid.
+  handles_.clear();
   handles_.reserve(n);
+  live_hops_ = 0;
   if (interned_.empty()) interned_.reserve(n);
-  for (std::size_t i = head; i < n; ++i) {
-    const std::span<const bgp::Asn> hops = paths[i].path.hops();
-    std::vector<sanitize::PathHandle>& bucket = interned_[hash_hops(hops)];
-    const sanitize::PathHandle* found = nullptr;
-    for (const sanitize::PathHandle& cand : bucket) {
-      if (cand.length == hops.size() &&
-          std::equal(hops.begin(), hops.end(), arena_.begin() + cand.offset)) {
-        found = &cand;
-        break;
-      }
-    }
-    if (found != nullptr) {
-      handles_.push_back(*found);
-    } else {
-      const sanitize::PathHandle handle{
-          static_cast<std::uint32_t>(arena_.size()),
-          static_cast<std::uint32_t>(hops.size())};
-      arena_.insert(arena_.end(), hops.begin(), hops.end());
-      bucket.push_back(handle);
-      handles_.push_back(handle);
-      ++unique_paths_;
-    }
+  for (const sanitize::SanitizedPath& row : paths) {
+    handles_.push_back(intern(row.path.hops()));
+    live_hops_ += row.path.size();
   }
+  const bool compacted = compact_if_sparse(paths);
 
   // ---- Phase 2a: mark each row's target shard(s), sequentially. A row
   // lands in its prefix country's shard and, when different, its VP
   // country's shard; invalid codes never create a shard. Row lists stay
-  // ascending because i is. With an unchanged head, the cached lists are
-  // truncated back to head rows (one lower_bound each — they are
-  // ascending) and only the suffix is re-scanned; a country untouched by
-  // either step provably has an identical row list over identical rows,
-  // so phase 2b moves its shard over without re-digesting the content.
-  std::unordered_set<geo::CountryCode, geo::CountryCodeHash> touched;
-  if (!incremental) {
-    rows_of_.clear();
-  } else {
-    // lint: ordered(per-entry truncation, no cross-entry state)
-    for (auto it = rows_of_.begin(); it != rows_of_.end();) {
-      std::vector<std::uint32_t>& rows = it->second;
-      const auto cut = std::lower_bound(rows.begin(), rows.end(),
-                                        static_cast<std::uint32_t>(head));
-      if (cut != rows.end()) {
-        rows.erase(cut, rows.end());
-        touched.insert(it->first);
-      }
-      if (rows.empty()) {
-        it = rows_of_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (std::uint32_t i = static_cast<std::uint32_t>(head); i < n; ++i) {
+  // ascending because i is.
+  rows_of_.clear();
+  for (std::uint32_t i = 0; i < n; ++i) {
     const geo::CountryCode pc = paths[i].prefix_country;
     const geo::CountryCode vc = paths[i].vp_country;
-    if (pc.valid()) {
-      rows_of_[pc].push_back(i);
-      if (incremental) touched.insert(pc);
+    if (pc.valid()) rows_of_[pc].push_back(i);
+    if (vc.valid() && vc != pc) rows_of_[vc].push_back(i);
+  }
+  return regather(paths, threads, nullptr, !compacted);
+}
+
+ShardedPathStore::RebuildStats ShardedPathStore::patch(
+    std::span<const sanitize::SanitizedPath> paths,
+    std::span<const std::uint32_t> erased,
+    std::span<const std::uint32_t> inserted, std::size_t threads) {
+  const std::size_t old_n = handles_.size();
+  const std::size_t n = paths.size();
+  if (old_n < erased.size() || old_n - erased.size() + inserted.size() != n) {
+    throw std::logic_error{
+        "ShardedPathStore::patch(): the edit does not match the rows"};
+  }
+  size_ = n;
+
+  // ---- Phase 1: splice the handles. Kept rows keep theirs; only the
+  // inserted rows are interned. `remap` takes an old row index to its
+  // new one (kGone for erased rows) for the row lists below.
+  constexpr std::uint32_t kGone = ~std::uint32_t{0};
+  std::vector<std::uint32_t> remap(old_n);
+  std::vector<sanitize::PathHandle> handles;
+  handles.reserve(n);
+  std::size_t next_erase = 0;
+  std::size_t next_insert = 0;
+  const auto insert_due = [&] {
+    while (next_insert < inserted.size() &&
+           inserted[next_insert] == handles.size()) {
+      const bgp::AsPath& path = paths[handles.size()].path;
+      handles.push_back(intern(path.hops()));
+      live_hops_ += path.size();
+      ++next_insert;
     }
-    if (vc.valid() && vc != pc) {
-      rows_of_[vc].push_back(i);
-      if (incremental) touched.insert(vc);
+  };
+  for (std::size_t i = 0; i < old_n; ++i) {
+    insert_due();
+    if (next_erase < erased.size() && erased[next_erase] == i) {
+      remap[i] = kGone;
+      live_hops_ -= handles_[i].length;
+      ++next_erase;
+      continue;
+    }
+    remap[i] = static_cast<std::uint32_t>(handles.size());
+    handles.push_back(handles_[i]);
+  }
+  insert_due();
+  handles_ = std::move(handles);
+  const bool compacted = compact_if_sparse(paths);
+
+  // ---- Phase 2a: renumber every country's row list, dropping erased
+  // rows, then add the inserted rows to their countries' lists. A
+  // country that lost or gained a row is touched; any other keeps an
+  // identical row list over identical rows, so phase 2 moves its shard
+  // over without re-digesting the content.
+  std::unordered_set<geo::CountryCode, geo::CountryCodeHash> touched;
+  // lint: ordered(per-entry renumbering, no cross-entry state)
+  for (auto it = rows_of_.begin(); it != rows_of_.end();) {
+    std::vector<std::uint32_t>& rows = it->second;
+    std::size_t kept = 0;
+    for (std::uint32_t row : rows) {
+      if (remap[row] != kGone) rows[kept++] = remap[row];
+    }
+    if (kept != rows.size()) {
+      touched.insert(it->first);
+      rows.resize(kept);
+    }
+    if (rows.empty()) {
+      it = rows_of_.erase(it);
+    } else {
+      ++it;
     }
   }
+  const auto add_row = [&](geo::CountryCode cc, std::uint32_t row) {
+    std::vector<std::uint32_t>& rows = rows_of_[cc];
+    rows.insert(std::upper_bound(rows.begin(), rows.end(), row), row);
+    touched.insert(cc);
+  };
+  for (std::uint32_t row : inserted) {
+    const geo::CountryCode pc = paths[row].prefix_country;
+    const geo::CountryCode vc = paths[row].vp_country;
+    if (pc.valid()) add_row(pc, row);
+    if (vc.valid() && vc != pc) add_row(vc, row);
+  }
+  return regather(paths, threads, &touched, !compacted);
+}
 
+ShardedPathStore::RebuildStats ShardedPathStore::regather(
+    std::span<const sanitize::SanitizedPath> paths, std::size_t threads,
+    const std::unordered_set<geo::CountryCode, geo::CountryCodeHash>* touched,
+    bool reuse_old) {
   // Previous build's shards, indexed by their (sorted) country list. A
-  // new shard whose content digest matches its predecessor is MOVED over
+  // new shard whose content matches its predecessor is MOVED over
   // instead of re-gathered; anything left in old_shards is dropped.
   std::vector<PathShard> old_shards = std::move(shards_);
   std::vector<geo::CountryCode> old_countries = std::move(shard_countries_);
+  if (!reuse_old) old_countries.clear();
   shards_ = {};
   shard_countries_ = {};
   prefix_countries_.clear();
@@ -138,38 +218,43 @@ ShardedPathStore::RebuildStats ShardedPathStore::rebuild(
   for (const auto& [cc, _] : rows_of_) shard_countries_.push_back(cc);
   std::sort(shard_countries_.begin(), shard_countries_.end());
 
-  // ---- Phase 2b: per shard, shard-parallel: digest the candidate rows
-  // (content only — cheap, no allocation), keep the old shard when the
-  // digest and row count are unchanged, else gather columns, selection
-  // lists and cost from scratch. Shards are disjoint, so workers share
-  // nothing but read-only inputs; each old shard is claimed by at most
-  // one slot (countries are unique).
+  const auto claim_old = [&](geo::CountryCode cc) -> PathShard* {
+    const auto old_it =
+        std::lower_bound(old_countries.begin(), old_countries.end(), cc);
+    if (old_it == old_countries.end() || *old_it != cc) return nullptr;
+    return &old_shards[static_cast<std::size_t>(old_it - old_countries.begin())];
+  };
+
+  // Shards the edit left alone move over first, inline; only the rest
+  // are worth a worker. Each old shard is claimed by at most one slot
+  // (countries are unique).
   shards_.resize(shard_countries_.size());
   std::vector<std::uint8_t> kept(shard_countries_.size(), 0);
+  std::vector<std::size_t> work;
+  for (std::size_t s = 0; s < shard_countries_.size(); ++s) {
+    const geo::CountryCode cc = shard_countries_[s];
+    PathShard* old_shard = nullptr;
+    if (touched != nullptr && !touched->contains(cc)) old_shard = claim_old(cc);
+    if (old_shard != nullptr) {
+      shards_[s] = std::move(*old_shard);
+      kept[s] = 1;
+    } else {
+      work.push_back(s);
+    }
+  }
+
+  // ---- Phase 2b: per remaining shard, shard-parallel: digest the
+  // candidate rows (content only — cheap, no allocation), keep the old
+  // shard when the digest and row count are unchanged, else gather
+  // columns, selection lists and cost from scratch. Shards are
+  // disjoint, so workers share nothing but read-only inputs.
   util::parallel_for(
-      shard_countries_.size(),
-      [&](std::size_t s) {
+      work.size(),
+      [&](std::size_t w) {
+        const std::size_t s = work[w];
         const geo::CountryCode cc = shard_countries_[s];
         const std::vector<std::uint32_t>& rows = rows_of_.at(cc);
         const std::size_t m = rows.size();
-
-        const auto claim_old = [&]() -> PathShard* {
-          const auto old_it =
-              std::lower_bound(old_countries.begin(), old_countries.end(), cc);
-          if (old_it == old_countries.end() || *old_it != cc) return nullptr;
-          return &old_shards[static_cast<std::size_t>(old_it -
-                                                      old_countries.begin())];
-        };
-
-        // Untouched by the proven-unchanged head's suffix: identical row
-        // list over identical rows — move the old shard, digest intact.
-        if (incremental && !touched.contains(cc)) {
-          if (PathShard* old_shard = claim_old(); old_shard != nullptr) {
-            shards_[s] = std::move(*old_shard);
-            kept[s] = 1;
-            return;
-          }
-        }
 
         // Digest pre-pass. Hashes hop CONTENT, never arena offsets —
         // offsets shift between loads even when this country's paths
@@ -191,9 +276,9 @@ ShardedPathStore::RebuildStats ShardedPathStore::rebuild(
           hop_cost += hops.size();
         }
 
-        if (PathShard* old_shard = claim_old(); old_shard != nullptr &&
-                                                old_shard->size() == m &&
-                                                old_shard->digest() == digest) {
+        if (PathShard* old_shard = claim_old(cc); old_shard != nullptr &&
+                                                  old_shard->size() == m &&
+                                                  old_shard->digest() == digest) {
           shards_[s] = std::move(*old_shard);
           kept[s] = 1;
           return;
@@ -240,8 +325,9 @@ ShardedPathStore::RebuildStats ShardedPathStore::rebuild(
       },
       threads);
 
-  // Appending to the arena may have reallocated it; point every shard
-  // (kept and rebuilt alike) at the current buffer.
+  // Appending to (or compacting) the arena may have reallocated it;
+  // point every shard (kept and rebuilt alike) at the current buffer.
+  RebuildStats result;
   const bgp::Asn* arena = arena_.data();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s].arena_ = arena;
@@ -263,6 +349,7 @@ ShardedPathStore ShardedPathStore::clone() const {
   copy.arena_ = arena_;
   copy.interned_ = interned_;
   copy.handles_ = handles_;
+  copy.live_hops_ = live_hops_;
   copy.rows_of_ = rows_of_;
   copy.shards_ = shards_;
   copy.shard_countries_ = shard_countries_;

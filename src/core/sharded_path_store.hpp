@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/path_shard.hpp"
@@ -76,9 +77,12 @@ class ShardedPathStore {
   /// columns, selection lists and cost hint are moved over untouched.
   /// The interned-hop dictionary is retained and append-only across
   /// rebuilds, so kept shards' handles stay valid; unique_path_count()
-  /// and arena_hop_count() are therefore LIFETIME-cumulative after a
-  /// rebuild, not a function of the current path set alone. Queries on
-  /// the rebuilt store are bit-identical to a fresh build from `paths`.
+  /// and arena_hop_count() therefore also count paths no current row
+  /// uses. To keep that garbage bounded, a rebuild or patch() that
+  /// leaves more than twice as many arena hops as the live rows hold
+  /// compacts: it re-interns the live rows into a fresh dictionary and
+  /// re-gathers every shard. Queries on the rebuilt store are
+  /// bit-identical to a fresh build from `paths`.
   ///
   /// `unchanged_prefix_rows` is the caller's PROOF (not a hint to be
   /// guessed at — pass the incremental sanitizer's Outcome::rows_reused,
@@ -88,12 +92,29 @@ class ShardedPathStore {
   /// reused — re-interning them would walk the same buckets of the
   /// append-only dictionary and return the same handles — and shards
   /// whose row lists are untouched by the suffix are moved over without
-  /// even re-digesting their content, so a rebuild costs O(suffix), not
-  /// O(world). A wrong value silently corrupts the store; 0 (the
-  /// default) always performs the full scan.
+  /// even re-digesting their content: the rebuild is the patch() that
+  /// erases the old suffix and inserts the new one, so it interns and
+  /// gathers O(suffix) rows. A wrong value silently corrupts the store;
+  /// 0 (the default) always performs the full scan.
   RebuildStats rebuild(std::span<const sanitize::SanitizedPath> paths,
                        std::size_t threads = 0,
                        std::size_t unchanged_prefix_rows = 0);
+
+  /// Applies a sparse row edit: `paths` is the previous input with the
+  /// rows at `erased` (ascending indices into the PREVIOUS input)
+  /// removed and new rows at `inserted` (ascending indices into
+  /// `paths`); every other row must be byte-identical to its previous
+  /// self and keep its relative order — a proof the caller owes, as
+  /// with rebuild()'s unchanged head (core::Pipeline::apply_delta passes
+  /// the sanitizer's committed RowEdit). Re-interns only the inserted
+  /// rows, re-gathers only the shards that lose or gain a row (a row
+  /// lands in its prefix country's and VP country's shards), and moves
+  /// every other shard over without re-digesting it. Queries afterwards
+  /// are bit-identical to a fresh build from `paths`.
+  RebuildStats patch(std::span<const sanitize::SanitizedPath> paths,
+                     std::span<const std::uint32_t> erased,
+                     std::span<const std::uint32_t> inserted,
+                     std::size_t threads = 0);
 
   /// Total sanitized rows across the world (rows double-homed into two
   /// shards count once).
@@ -147,10 +168,29 @@ class ShardedPathStore {
   /// Interning index over arena_ (hash bucket -> candidate handles),
   /// retained so rebuilds re-intern against the existing dictionary.
   std::unordered_map<std::uint64_t, std::vector<sanitize::PathHandle>> interned_;
+  /// Interns one path: the existing handle for an equal hop sequence,
+  /// else a fresh one appended to the arena.
+  sanitize::PathHandle intern(std::span<const bgp::Asn> hops);
+  /// Compacts the dictionary when it holds more than twice the live
+  /// rows' hops (re-interning every row of `paths`); true if it did.
+  bool compact_if_sparse(std::span<const sanitize::SanitizedPath> paths);
+  /// Phase 2 of every build: re-forms the shard list from rows_of_.
+  /// Shards of countries outside `touched` (nullptr = none is exempt)
+  /// move over as they are; the rest keep their old shard when the
+  /// digest and row count match, else are gathered afresh. With
+  /// `reuse_old` false every shard is gathered (handles changed).
+  RebuildStats regather(
+      std::span<const sanitize::SanitizedPath> paths, std::size_t threads,
+      const std::unordered_set<geo::CountryCode, geo::CountryCodeHash>* touched,
+      bool reuse_old);
+
   /// Per-row handles and per-country row lists of the LAST rebuild,
   /// cached so a rebuild with a proven unchanged head (see rebuild())
-  /// can skip re-deriving them for head rows.
+  /// or a patch() can skip re-deriving them for unchanged rows.
   std::vector<sanitize::PathHandle> handles_;
+  /// Hops the live rows reference (sum of handles_ lengths): the
+  /// compaction rule's yardstick.
+  std::size_t live_hops_ = 0;
   std::unordered_map<geo::CountryCode, std::vector<std::uint32_t>,
                      geo::CountryCodeHash>
       rows_of_;

@@ -115,6 +115,10 @@ void UpdatePipeline::apply_one(const Pending& pending) {
   // the exact semantics of bgp::replay_to_collection, so the final
   // window equals the batch replay of the same archive.
   if (current_day_ >= 0 && day != current_day_) {
+    // The pipeline's final day is closing: the next flush must hand it
+    // the whole window, not a delta to a day it will no longer have last.
+    delta_ready_ = false;
+    batch_before_.clear();
     for (int d = current_day_; d < day; ++d) {
       window_.days.push_back(rib_.snapshot(d));
       ++stats_.days_closed;
@@ -127,6 +131,14 @@ void UpdatePipeline::apply_one(const Pending& pending) {
     }
   }
   current_day_ = day;
+  if (delta_ready_) {
+    // First touch in this batch: remember the path the pipeline's world
+    // holds for the key, so flush() can hand over the net change.
+    const auto [it, first] = batch_before_.try_emplace(RouteKey{u.vp, u.prefix});
+    if (first) {
+      if (const bgp::AsPath* path = rib_.find(u.vp, u.prefix)) it->second = *path;
+    }
+  }
   rib_.apply(u);
 
   ++stats_.applied;
@@ -181,17 +193,36 @@ FlushReport UpdatePipeline::flush() {
     return unique.size();
   }();
 
-  // The window's closed days sit in window_ already; only the live day
-  // needs materializing. Append it for the apply, then drop it — the
-  // next flush's live day will have moved on.
+  // No day closed since the last flush: the pipeline's world differs
+  // from the live table only in the keys this batch touched, so hand it
+  // their net changes. Otherwise — or when the pipeline declines the
+  // delta — the window's closed days sit in window_ already and only
+  // the live day needs materializing: append it for the apply, then
+  // drop it, since the next flush's live day will have moved on.
   const Clock::time_point apply_start = Clock::now();
-  if (current_day_ >= 0) {
-    window_.days.push_back(rib_.snapshot(current_day_));
+  std::optional<core::Pipeline::ApplyResult> applied;
+  if (delta_ready_) {
+    std::vector<bgp::RouteDelta> deltas;
+    deltas.reserve(batch_before_.size());
+    for (auto& [key, before] : batch_before_) {
+      std::optional<bgp::AsPath> after;
+      if (const bgp::AsPath* path = rib_.find(key.vp, key.prefix)) after = *path;
+      if (before != after) {
+        deltas.push_back(
+            bgp::RouteDelta{key.vp, key.prefix, std::move(before), std::move(after)});
+      }
+    }
+    applied = pipeline_->apply_delta(current_day_, deltas);
   }
-  report.apply = pipeline_->apply_updates(window_);
-  if (current_day_ >= 0) {
+  if (applied) {
+    report.apply = *applied;
+  } else {
+    window_.days.push_back(rib_.snapshot(current_day_));
+    report.apply = pipeline_->apply_updates(window_);
     window_.days.pop_back();
   }
+  batch_before_.clear();
+  delta_ready_ = true;
   report.apply_seconds = seconds_since(apply_start);
 
   // Only countries whose shard digest changed were evicted above, so
@@ -310,6 +341,10 @@ void UpdatePipeline::restore(const Checkpoint& ckpt) {
   batch_withdraws_ = static_cast<std::size_t>(ckpt.batch_withdraws);
   batch_prefixes_ = ckpt.batch_prefixes;
   stats_ = ckpt.stats;
+  // The checkpoint carries no world for the core pipeline, so the first
+  // flush after a restore hands it the whole window.
+  delta_ready_ = false;
+  batch_before_.clear();
   republish_seconds_sum_ = ckpt.republish_seconds_sum;
   last_republish_seconds_ = ckpt.last_republish_seconds;
   last_batch_ = ckpt.last_batch;

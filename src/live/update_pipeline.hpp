@@ -6,19 +6,23 @@
 //
 //   push() --> bounded reorder buffer --> watermark drain --> RibState
 //                                                              |
-//   flush(): rolling day window -> Pipeline::apply_updates -----+
+//   flush(): burst delta -> Pipeline::apply_delta --------------+
+//            (or rolling day window -> Pipeline::apply_updates)
 //            -> Snapshot::build -> RankingService::publish (RCU)
 //
 // Updates enter a bounded buffer ordered by timestamp; everything at or
 // below the watermark (max timestamp seen minus reorder_window) is
 // drained into the live bgp::RibState, closing a day — and any quiet
 // days it skipped — whenever the day index advances. After flush_batch
-// applied updates the pipeline flushes: the current day window is
-// re-sanitized as one collection through core::Pipeline::apply_updates
-// (digest-verified shard reuse + shard-granular memo eviction do the
-// incremental work), a serve::Snapshot is built — only countries whose
-// shard digest changed re-rank — and published through the service's
-// RCU swap. Each flush also maps the batch's touched prefixes onto
+// applied updates the pipeline flushes. When no day closed since the
+// previous flush, the batch's net per-(VP, prefix) changes go through
+// core::Pipeline::apply_delta, which re-decides only those routes;
+// otherwise (or when apply_delta declines) the current day window is
+// re-sanitized as one collection through core::Pipeline::apply_updates.
+// Either way digest-verified shard reuse + shard-granular memo eviction
+// do the rest, a serve::Snapshot is built — only countries whose shard
+// digest changed re-rank — and published through the service's RCU
+// swap. Each flush also maps the batch's touched prefixes onto
 // their country sets through the pipeline's geolocation database, so
 // the FlushReport names the countries a burst actually moved.
 //
@@ -244,6 +248,19 @@ class UpdatePipeline {
   /// incremental fast path digests against.
   bgp::RibCollection window_;
   int current_day_ = -1;
+
+  // Delta hand-off (reset at flush). While `delta_ready_` — the core
+  // pipeline holds exactly the window as of the last flush and no day
+  // has closed since — `batch_before_` maps each key the batch touched
+  // to its path at the last flush (nullopt: no route), recorded on
+  // first touch from rib_. Proportional to the batch; no RIB copy.
+  struct RouteKey {
+    bgp::VpId vp;
+    bgp::Prefix prefix;
+    friend auto operator<=>(const RouteKey&, const RouteKey&) = default;
+  };
+  bool delta_ready_ = false;
+  std::map<RouteKey, std::optional<bgp::AsPath>> batch_before_;
 
   // Current batch (reset at flush).
   std::size_t batch_applied_ = 0;

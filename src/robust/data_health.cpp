@@ -140,43 +140,19 @@ HealthReport compute_health(const core::ShardedPathStore& store,
   }
 
   const std::vector<geo::CountryCode>& census = store.countries();
+  const auto health_of = [&](geo::CountryCode cc) {
+    const auto it = rejected.find(cc);
+    const Rejection r = it == rejected.end() ? Rejection{} : it->second;
+    return core::shard_health(cc, store.shard(cc), r.prefixes, r.addresses,
+                              policy);
+  };
   HealthReport report;
   report.policy = policy;
   report.countries.resize(census.size());
   // One worker per country shard, biggest shard first; each writes its
   // own slot, so the report is independent of the thread count.
   util::parallel_for_costed(store.census_costs(), [&](std::size_t i) {
-    const geo::CountryCode cc = census[i];
-    const core::PathShard* shard = store.shard(cc);
-    CountryHealth h;
-    h.country = cc;
-    std::set<bgp::VpId> national_vps;
-    std::set<bgp::VpId> international_vps;
-    std::set<bgp::Prefix> prefixes;
-    for (std::uint32_t row : shard->prefix_rows()) {
-      if (shard->vp_country(row) == cc) {
-        national_vps.insert(shard->vp(row));
-      } else {
-        international_vps.insert(shard->vp(row));
-      }
-      if (prefixes.insert(shard->prefix(row)).second) {
-        h.geolocated_addresses += shard->weight(row);
-      }
-    }
-    h.national_vps = national_vps.size();
-    h.international_vps = international_vps.size();
-    h.accepted_prefixes = prefixes.size();
-    if (const auto it = rejected.find(cc); it != rejected.end()) {
-      h.no_consensus_prefixes = it->second.prefixes;
-      h.no_consensus_addresses = it->second.addresses;
-    }
-    h.national_tier = policy.view_tier(h.national_vps);
-    h.international_tier = policy.view_tier(h.international_vps);
-    h.geo_tier = policy.geo_tier(h.geolocated_addresses, h.no_consensus_addresses);
-    h.overall = policy.country_tier(h.national_vps, h.international_vps,
-                                    h.geolocated_addresses,
-                                    h.no_consensus_addresses);
-    report.countries[i] = h;
+    report.countries[i] = health_of(census[i]);
   });
 
   // Countries with an attributed rejection but no geolocated prefix
@@ -186,15 +162,7 @@ HealthReport compute_health(const core::ShardedPathStore& store,
   for (const auto& [country, r] : rejected) {
     if (!country.valid()) continue;
     if (std::binary_search(census.begin(), census.end(), country)) continue;
-    CountryHealth h;
-    h.country = country;
-    h.no_consensus_prefixes = r.prefixes;
-    h.no_consensus_addresses = r.addresses;
-    h.national_tier = policy.view_tier(0);
-    h.international_tier = policy.view_tier(0);
-    h.geo_tier = policy.geo_tier(0, h.no_consensus_addresses);
-    h.overall = policy.country_tier(0, 0, 0, h.no_consensus_addresses);
-    report.countries.push_back(h);
+    report.countries.push_back(health_of(country));
   }
   std::sort(report.countries.begin(), report.countries.end(),
             [](const CountryHealth& x, const CountryHealth& y) {
@@ -231,16 +199,11 @@ HealthReport compute_health(const core::Pipeline& pipeline,
   // Policy matches the pipeline's: assemble the report from the
   // per-country health memo, so a reload that left most shards intact
   // re-scans only the changed countries' rows. Identical output to the
-  // shard-parallel overload (Pipeline::country_health_uncached is a port
-  // of its worker).
-  const core::ShardedPathStore& store = pipeline.store();
-  const std::vector<geo::CountryCode>& census = store.countries();
+  // shard-parallel overload (both run core::shard_health).
+  const std::vector<geo::CountryCode>& census = pipeline.store().countries();
   HealthReport report;
   report.policy = policy;
-  report.countries.resize(census.size());
-  util::parallel_for_costed(store.census_costs(), [&](std::size_t i) {
-    report.countries[i] = pipeline.country_health(census[i]);
-  });
+  report.countries = pipeline.all_country_health();
 
   // Countries with an attributed rejection but no geolocated prefix.
   // lint: ordered(report.countries is sorted by country just below)

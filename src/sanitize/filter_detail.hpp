@@ -46,10 +46,14 @@ using DedupSet = std::unordered_set<DedupKey, DedupHash>;
 
 /// How many distinct dump days each prefix appears in. `last_day`
 /// collapses repeats within one day (and adjacent snapshots sharing a
-/// day number) without keeping a per-prefix day set.
+/// day number) without keeping a per-prefix day set. `day_entries`
+/// counts the entries carrying the prefix on `last_day`, so after the
+/// final day it tells whether withdrawing one route removes the prefix
+/// from that day (the delta path's stability check).
 struct PrefixDays {
   std::uint32_t count = 0;
   int last_day = 0;
+  std::uint32_t day_entries = 0;
 };
 
 using DayCounts = std::unordered_map<bgp::Prefix, PrefixDays, bgp::PrefixHash>;
@@ -60,12 +64,14 @@ using DayCounts = std::unordered_map<bgp::Prefix, PrefixDays, bgp::PrefixHash>;
 /// increasing day numbers, so this holds for every producer in-tree).
 inline void add_day_presence(DayCounts& counts, const bgp::RibSnapshot& snap) {
   for (const bgp::RouteEntry& e : snap.entries) {
-    auto [it, inserted] = counts.try_emplace(e.prefix, PrefixDays{0, snap.day});
+    auto [it, inserted] = counts.try_emplace(e.prefix, PrefixDays{0, snap.day, 0});
     if (inserted || it->second.last_day != snap.day ||
         it->second.count == 0) {
       it->second.last_day = snap.day;
       ++it->second.count;
+      it->second.day_entries = 0;
     }
+    ++it->second.day_entries;
   }
 }
 

@@ -29,11 +29,30 @@
 // a strict EXTENSION of the memoized one — same day number, old entries
 // a literal prefix, proven by a resumable content fold — run_fast()
 // keeps the previous result wholesale and filters only the appended
-// tail, making a small burst O(delta) instead of O(final day). Appended
-// entries cannot change the day-presence of previously-seen final-day
-// prefixes ({count, last_day} counts each prefix once per day), and any
-// NEW prefix crossing the stability threshold changes the stable-set
-// digest and rejects the fast path, so the extension is sound.
+// tail, making an append-only burst O(delta) instead of O(final day).
+// Appended entries cannot change the day-presence of previously-seen
+// final-day prefixes ({count, last_day} counts each prefix once per
+// day), and any NEW prefix crossing the stability threshold changes the
+// stable-set digest and rejects the fast path, so the extension is
+// sound. A burst that REPLACES or withdraws a route is not an append,
+// so through run_fast() it re-filters the whole final day.
+//
+// The delta path (plan_delta() + commit_delta(), behind
+// core::Pipeline::apply_delta) handles exactly those bursts without the
+// collection: the caller names each changed (VP, prefix) key's old and
+// new entry, and only those entries are re-filtered. It needs a final
+// day keyed by route — strictly (VP, prefix)-sorted, as RibState
+// snapshots are — so each key has at most one final-day entry and one
+// row; then a dedup key can only collide with a head-day key (head-day
+// keys still win) or with the same key's old entry. Its proofs: the
+// fast-path preconditions (explicit clique, a memo), no audit samples
+// (their budget follows encounter order), and an unchanged stable set,
+// which a delta can only break where a prefix's final-day presence
+// (the per-prefix `day_entries` tally) crosses the threshold. It also
+// cross-checks every old entry against the memo — an old entry that
+// emitted a row must find that row, one that did not must find none —
+// and declines on any mismatch, leaving the caller to fall back.
+//
 // The output is identical to
 // PathSanitizer::run over the same collection by construction — the same
 // per-entry loop (sanitize/filter_detail.hpp) runs over provably equal
@@ -47,12 +66,17 @@
 // numbers (repeats adjacent). Every producer in-tree — the generators,
 // replay_to_collection, the live window — satisfies this.
 //
-// Not thread-safe: callers serialize run_full/can_fast_path/run_fast
-// (core::Pipeline holds its load-serial mutex across them).
+// Not thread-safe: callers serialize run_full/can_fast_path/run_fast/
+// plan_delta/commit_delta (core::Pipeline holds its load-serial mutex
+// across them).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sanitize/filter_detail.hpp"
@@ -98,8 +122,52 @@ class IncrementalSanitizer {
                                         SanitizeResult&& previous,
                                         Outcome* outcome = nullptr);
 
+  /// A staged delta run (plan_delta), applied by commit_delta.
+  struct DeltaPlan {
+    /// Final-day rows the delta drops: ascending indices into the rows
+    /// of the result the plan was made against.
+    std::vector<std::uint32_t> erase;
+    /// Rows it adds, in (VP, prefix) order.
+    std::vector<SanitizedPath> insert;
+    SanitizeStats stats;  // the result's stats after the delta
+    std::vector<detail::DedupKey> dedup_erase;
+    std::vector<detail::DedupKey> dedup_insert;
+    /// Day counts of each touched prefix after the delta.
+    std::vector<std::pair<bgp::Prefix, detail::PrefixDays>> counts;
+  };
+
+  /// How a committed delta moved the rows: ascending indices of the rows
+  /// it dropped (into the rows before the commit) and of the rows it
+  /// added (into the rows after it). Every other row kept its content
+  /// and relative order.
+  struct RowEdit {
+    std::vector<std::uint32_t> erased;
+    std::vector<std::uint32_t> inserted;
+  };
+
+  /// Stages a delta run against `current`, the result of the last run:
+  /// `deltas` are net changes to final day `day`, at most one per
+  /// (VP, prefix) key, with old paths as the memoized collection holds
+  /// them. Re-filters each changed key's old and new entry only.
+  /// Returns nullopt when a proof fails (see the header comment); the
+  /// memo and `current` are untouched either way.
+  [[nodiscard]] std::optional<DeltaPlan> plan_delta(
+      int day, std::span<const bgp::RouteDelta> deltas,
+      const SanitizeResult& current) const;
+
+  /// Applies a plan from plan_delta() to the result it was made against,
+  /// patching its final-day rows and stats in place and re-arming the
+  /// memo at the patched final day.
+  RowEdit commit_delta(DeltaPlan&& plan, SanitizeResult& result,
+                       Outcome* outcome = nullptr);
+
   /// Drops the memo; the next run must be run_full().
   void invalidate() noexcept;
+
+  /// Drops only what the delta path reads (the all-day counts), so a
+  /// copy kept aside stays small; plan_delta() then declines until the
+  /// next run_full() or run_fast() re-arms it.
+  void drop_delta_memo() noexcept;
 
   /// Row count of the memoized head — how many leading rows of the LAST
   /// run's result were emitted for days [0, N-1). 0 when the memo is
@@ -124,7 +192,15 @@ class IncrementalSanitizer {
   std::vector<std::uint64_t> day_digests_;  // one per day, order-sensitive
   std::size_t need_ = 0;                    // stability threshold used
   detail::DayCounts head_counts_;           // day presence over days [0, N-1)
+  detail::DayCounts counts_;                // day presence over ALL N days
   std::uint64_t stable_digest_ = 0;         // stable set over ALL N days
+  // prefix_geo.covered as a set. The stable set pins it, so it outlives
+  // every fast and delta run until the next full run.
+  std::unordered_set<bgp::Prefix, bgp::PrefixHash> covered_;
+  // The final day is keyed by route (strictly (VP, prefix)-sorted, with
+  // a later day number than the day before it) and no samples are kept:
+  // the delta path's structural preconditions.
+  bool delta_ready_ = false;
   // Sequential filter state captured at the final-day boundary: what a
   // batch run holds right before filtering the last day.
   SanitizeStats head_stats_;
@@ -146,6 +222,10 @@ class IncrementalSanitizer {
   int final_day_number_ = 0;
   std::size_t final_len_ = 0;
   std::uint64_t final_entries_fold_ = 0;
+  // A committed delta patches the final day without its entries, so the
+  // fold no longer describes it; append detection stays off until the
+  // next run_full() or run_fast() folds the day again.
+  bool final_fold_valid_ = false;
 
   // ---- Staged by can_fast_path() for the next run_fast(). ----
   bool pending_ready_ = false;

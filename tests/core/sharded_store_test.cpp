@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 
 #include "core/country_rankings.hpp"
 #include "core/path_store.hpp"
@@ -346,14 +348,66 @@ TEST(ShardedPathStore, RebuildIsIdenticalAcrossThreadCounts) {
 TEST(ShardedPathStore, RepeatedRebuildsStayEquivalent) {
   auto paths = sample_paths();
   ShardedPathStore store{paths};
-  // Interning survives across rebuilds, so unique_path_count is
-  // lifetime-cumulative — queries must stay equivalent regardless.
+  // Interning survives across rebuilds until the dictionary compacts,
+  // so unique_path_count may count paths no current row uses — queries
+  // must stay equivalent regardless.
   for (std::uint64_t round = 1; round <= 4; ++round) {
     auto changed = sample_paths();
     changed[0].weight = 256 + round;
     store.rebuild(changed);
     expect_equivalent_stores(store, ShardedPathStore{changed});
   }
+}
+
+std::size_t row_hops(const std::vector<SanitizedPath>& paths) {
+  std::size_t hops = 0;
+  for (const SanitizedPath& sp : paths) hops += sp.path.size();
+  return hops;
+}
+
+TEST(ShardedPathStore, CompactionBoundsTheDictionaryAcrossRebuilds) {
+  auto paths = sample_paths();
+  ShardedPathStore store{paths};
+  for (std::uint32_t round = 1; round <= 200; ++round) {
+    // Row 0 takes a path no earlier round used, so without compaction
+    // every round would leave three more dead hops in the arena.
+    // Alternate a full rebuild with a one-row patch.
+    auto fresh = sample_paths();
+    fresh[0].path = AsPath{100, 50, 1000 + round};
+    if (round % 2 == 0) {
+      store.rebuild(fresh);
+    } else {
+      const std::uint32_t row = 0;
+      store.patch(fresh, std::span{&row, 1}, std::span{&row, 1});
+    }
+    // Compaction fires once the arena passes twice the live rows' hops,
+    // and one rebuild adds at most the live rows' hops on top.
+    EXPECT_LE(store.arena_hop_count(), 3 * row_hops(fresh)) << "round " << round;
+    expect_equivalent_stores(store, ShardedPathStore{fresh});
+  }
+}
+
+TEST(ShardedPathStore, PatchRegathersOnlyTouchedShards) {
+  auto paths = sample_paths();
+  ShardedPathStore store{paths};
+
+  // Drop the JP-only row and insert a second US-prefix row from the US
+  // VP between rows 2 and 3: JP and US change, AU keeps its rows.
+  auto patched = sample_paths();
+  patched.erase(patched.begin() + 6);
+  patched.insert(patched.begin() + 3, mk(2, US, AsPath{101, 60, 202}, 5, US));
+  const std::uint32_t erased[] = {6};
+  const std::uint32_t inserted[] = {3};
+  const ShardedPathStore::RebuildStats stats =
+      store.patch(patched, erased, inserted);
+  expect_equivalent_stores(store, ShardedPathStore{patched});
+  EXPECT_EQ(stats.shards_kept, 1u);     // AU, moved without a re-digest
+  EXPECT_EQ(stats.shards_rebuilt, 2u);  // US gained a row, JP lost one
+  EXPECT_EQ(store.shard(AU)->digest(), ShardedPathStore{paths}.shard_digest(AU));
+
+  // An edit that does not add up to the rows is refused, not applied.
+  const std::uint32_t too_many[] = {0, 1};
+  EXPECT_THROW(store.patch(patched, too_many, inserted), std::logic_error);
 }
 
 TEST(ShardedPathStore, RebuildToAndFromEmpty) {

@@ -118,7 +118,7 @@ int usage() {
                "                     [--vp-steps a,b,..] [--geo-steps x,y,..]"
                " [--path-steps x,y,..] [--vp-target CC] [--csv] [--out FILE]\n"
                "  georank snapshot   --dir DIR --out FILE [--id N]"
-               " [--label STR] [--infer] [--strict]\n"
+               " [--label STR] [--infer] [--strict] [--clique FILE]\n"
                "  georank serve      --snapshot FILE[,FILE...] | --dir DIR"
                " [--port N] [--bind ADDR]\n"
                "                     [--threads N] [--cache N] [--history N]\n"
@@ -132,6 +132,7 @@ int usage() {
                " [--recover] [--fsync never|each]\n"
                "                     [--overflow drain|shed] [--follow]"
                " [--stale-after SECS] [--degraded-after SECS]\n"
+               "                     [--clique FILE]\n"
                "  georank journal    --dir DIR [--stat]\n"
                "  georank whatif     --dir DIR --scenario FILE [--out FILE]"
                " [--csv FILE] [--top N]\n"
@@ -187,7 +188,9 @@ bool write_file(const fs::path& path, Writer&& writer) {
 
 // ------------------------------------------------------------- generate
 
-/// Writes the eight data-set files every other subcommand consumes.
+/// Writes the data-set files every other subcommand consumes, plus
+/// clique.txt (the generator's tier-1 clique, which `snapshot` and
+/// `live` pin with --clique instead of inferring it).
 bool write_dataset(const fs::path& dir, const gen::World& world,
                    const bgp::RibCollection& ribs) {
   io::AsInfoMap info;
@@ -215,6 +218,10 @@ bool write_dataset(const fs::path& dir, const gen::World& world,
          write_file(dir / "route-servers.txt",
                     [&](std::ostream& os) {
                       for (bgp::Asn rs : world.route_servers) os << rs << '\n';
+                    }) &&
+         write_file(dir / "clique.txt",
+                    [&](std::ostream& os) {
+                      for (bgp::Asn asn : world.clique) os << asn << '\n';
                     }) &&
          write_file(dir / "updates.txt", [&](std::ostream& os) {
            // The same data as an incremental update archive (IHR-style
@@ -310,6 +317,18 @@ struct DataSet {
 /// mapped to kExitParseFailure in main(). `skip_ribs` loads only the
 /// topology/geo side files (the live subcommand streams its own
 /// updates).
+/// One ASN per line; lines that are not an ASN are skipped.
+std::vector<bgp::Asn> read_asn_lines(std::istream& is) {
+  std::vector<bgp::Asn> asns;
+  std::string line;
+  while (std::getline(is, line)) {
+    if (auto asn = util::parse_int<bgp::Asn>(util::trim(line))) {
+      asns.push_back(*asn);
+    }
+  }
+  return asns;
+}
+
 std::optional<DataSet> load_dataset(const fs::path& dir, bool infer_relationships,
                                     bool strict = false, int* fail_code = nullptr,
                                     std::size_t ingest_threads = 0,
@@ -387,12 +406,7 @@ std::optional<DataSet> load_dataset(const fs::path& dir, bool infer_relationship
   }
 
   if (std::ifstream rs_is{dir / "route-servers.txt"}; rs_is) {
-    std::string line;
-    while (std::getline(rs_is, line)) {
-      if (auto asn = util::parse_int<bgp::Asn>(util::trim(line))) {
-        data.route_servers.push_back(*asn);
-      }
-    }
+    data.route_servers = read_asn_lines(rs_is);
   }
 
   if (infer_relationships) {
@@ -432,13 +446,30 @@ robust::DegradationPolicy degradation_from_args(const Args& args) {
   return policy;
 }
 
-core::Pipeline make_pipeline(const DataSet& data,
-                             robust::DegradationPolicy degradation = {}) {
+/// --clique FILE: the poisoning filter's tier-1 clique, one ASN per line
+/// (`generate` writes clique.txt). Without it the sanitizer infers the
+/// clique from the paths. Only an explicit clique lets the live
+/// pipeline re-sanitize incrementally. Throws std::runtime_error when
+/// the file cannot be read.
+std::vector<bgp::Asn> clique_from_args(const Args& args) {
+  if (!args.has("clique")) return {};
+  std::ifstream is{args.get("clique")};
+  if (!is) throw std::runtime_error{"cannot read --clique " + args.get("clique")};
+  return read_asn_lines(is);
+}
+
+core::PipelineConfig pipeline_config(const DataSet& data,
+                                    robust::DegradationPolicy degradation = {}) {
   core::PipelineConfig config;
   config.sanitizer.route_server_asns = data.route_servers;
   config.degradation = degradation;
+  return config;
+}
+
+core::Pipeline make_pipeline(const DataSet& data,
+                             robust::DegradationPolicy degradation = {}) {
   core::Pipeline pipeline{data.geo_db, data.vps, data.asn_registry,
-                          data.relationships, config};
+                          data.relationships, pipeline_config(data, degradation)};
   pipeline.load(data.ribs);
   return pipeline;
 }
@@ -952,7 +983,11 @@ std::optional<serve::Snapshot> build_snapshot(const Args& args, int* fail_code) 
                            fail_code,
                            args.thread_count_or("ingest-threads", 0));
   if (!data) return std::nullopt;
-  core::Pipeline pipeline = make_pipeline(*data, degradation_from_args(args));
+  core::PipelineConfig config = pipeline_config(*data, degradation_from_args(args));
+  config.sanitizer.clique = clique_from_args(args);
+  core::Pipeline pipeline{data->geo_db, data->vps, data->asn_registry,
+                          data->relationships, config};
+  pipeline.load(data->ribs);
 
   auto now = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::seconds>(
@@ -1030,9 +1065,8 @@ int cmd_live(const Args& args) {
                            &fail_code, 0, /*skip_ribs=*/true);
   if (!data) return fail_code;
 
-  core::PipelineConfig config;
-  config.sanitizer.route_server_asns = data->route_servers;
-  config.degradation = degradation_from_args(args);
+  core::PipelineConfig config = pipeline_config(*data, degradation_from_args(args));
+  config.sanitizer.clique = clique_from_args(args);
   core::Pipeline pipeline{data->geo_db, data->vps, data->asn_registry,
                           data->relationships, config};
 
@@ -1140,13 +1174,18 @@ int cmd_live(const Args& args) {
 
   auto print_report = [](const live::FlushReport& report) {
     if (!report.published) return;
+    // delta = Pipeline::apply_delta patched the burst's routes; fast =
+    // apply_updates re-filtered the final day only; full = everything.
+    const char* path = report.apply.delta_path          ? "delta"
+                       : report.apply.sanitize_fast_path ? "fast"
+                                                         : "full";
     std::printf("  flush -> snapshot %llu: %zu updates (%zu ann, %zu wd), "
-                "%zu prefixes -> %zu countries, shards %zu kept / %zu "
-                "rebuilt, memos %zu warm, %.1f ms\n",
+                "%zu prefixes -> %zu countries, path %s, shards %zu kept / "
+                "%zu rebuilt, memos %zu warm, %.1f ms\n",
                 static_cast<unsigned long long>(report.snapshot_id),
                 report.batch, report.announces, report.withdraws,
                 report.touched_prefixes, report.touched_countries.size(),
-                report.apply.shards_kept, report.apply.shards_rebuilt,
+                path, report.apply.shards_kept, report.apply.shards_rebuilt,
                 report.apply.memos_kept, report.total_seconds * 1e3);
   };
 
