@@ -25,21 +25,21 @@ int main() {
   std::printf("=== data health (%zu countries) ===\n", health.countries.size());
   util::Table census{{"tier", "countries"}};
   census.set_align(1, util::Align::kRight);
-  for (robust::ConfidenceTier tier :
-       {robust::ConfidenceTier::kHigh, robust::ConfidenceTier::kDegraded,
-        robust::ConfidenceTier::kInsufficient}) {
-    census.add_row({std::string(robust::to_string(tier)),
+  for (core::ConfidenceTier tier :
+       {core::ConfidenceTier::kHigh, core::ConfidenceTier::kDegraded,
+        core::ConfidenceTier::kInsufficient}) {
+    census.add_row({std::string(core::to_string(tier)),
                     std::to_string(health.count(tier))});
   }
   census.print(std::cout);
 
   util::Table detail{{"country", "natVP", "intlVP", "consensus", "tier"}};
   for (std::size_t c = 1; c <= 3; ++c) detail.set_align(c, util::Align::kRight);
-  for (const robust::CountryHealth& h : health.countries) {
+  for (const core::CountryHealth& h : health.countries) {
     detail.add_row({h.country.to_string(), std::to_string(h.national_vps),
                     std::to_string(h.international_vps),
                     util::percent(h.geo_consensus()),
-                    std::string(robust::to_string(h.overall))});
+                    std::string(core::to_string(h.overall))});
   }
   detail.print(std::cout);
   std::printf("\n");

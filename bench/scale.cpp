@@ -9,8 +9,9 @@
 //   bench_scale --smoke
 //
 // --smoke (registered in ctest) skips the timed runs and asserts the
-// refactor's correctness contract instead: the sharded census is
-// bit-identical to the monolithic PathStore's, and the sharded build is
+// store's correctness contract instead: the sharded census is
+// bit-identical to the span-based ViewBuilder oracle's (a linear filter
+// and copy that shares no code with the store), and the sharded build is
 // bit-identical across worker counts.
 #include <chrono>
 #include <cstdio>
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "core/country_rankings.hpp"
-#include "core/path_store.hpp"
 #include "core/pipeline.hpp"
 #include "core/sharded_path_store.hpp"
 #include "gen/internet.hpp"
@@ -155,32 +155,33 @@ int run_smoke() {
     if (!ok) ++failures;
   };
 
-  core::PathStore mono{paths};
   core::ShardedPathStore sharded{paths};
+  const std::vector<geo::CountryCode> oracle_countries =
+      core::ViewBuilder::countries(paths);
   std::printf("       %zu paths across %zu shards\n", sharded.size(),
               sharded.shards().size());
-  check(sharded.size() == mono.size() && !sharded.shards().empty(),
+  check(sharded.size() == paths.size() && !sharded.shards().empty(),
         "sharded store covers every accepted path");
-  check(sharded.countries() == mono.countries(),
-        "census domain matches the monolithic store");
+  check(sharded.countries() == oracle_countries,
+        "census domain matches the span oracle");
 
   core::CountryRankings rankings{world.graph};
   bool census_identical = true;
-  for (geo::CountryCode cc : mono.countries()) {
-    core::CountryMetrics a = rankings.compute(mono, cc);
+  for (geo::CountryCode cc : oracle_countries) {
+    core::CountryMetrics a = rankings.compute(paths, cc);
     core::CountryMetrics b = rankings.compute(sharded, cc);
     if (!same_ranking(a.cci, b.cci) || !same_ranking(a.ccn, b.ccn) ||
         !same_ranking(a.ahi, b.ahi) || !same_ranking(a.ahn, b.ahn)) {
       census_identical = false;
     }
-    core::OutboundMetrics oa = rankings.compute_outbound(mono, cc);
+    core::OutboundMetrics oa = rankings.compute_outbound(paths, cc);
     core::OutboundMetrics ob = rankings.compute_outbound(sharded, cc);
     if (!same_ranking(oa.cco, ob.cco) || !same_ranking(oa.aho, ob.aho)) {
       census_identical = false;
     }
   }
   check(census_identical,
-        "sharded census is bit-identical to the monolithic census");
+        "sharded census is bit-identical to the span-oracle census");
 
   core::ShardedPathStore one{paths, 1};
   core::ShardedPathStore sixteen{paths, 16};

@@ -1,5 +1,9 @@
 #include "bgp/line_parse.hpp"
 
+#include <array>
+#include <utility>
+
+#include "bgp/mrt_stream.hpp"
 #include "bgp/prefix.hpp"
 #include "util/strings.hpp"
 
@@ -172,5 +176,47 @@ ParseReason day_from_timestamp(std::uint64_t timestamp, std::uint64_t base_time,
 }
 
 }  // namespace detail
+
+bool parse_line(std::string_view line, const MrtStreamOptions& options,
+                MrtParseStats& stats, RouteEntry& out, int& day_out) {
+  ++stats.lines;
+  std::string_view trimmed = util::trim(line);
+  if (trimmed.empty() || trimmed.front() == '#') {
+    ++stats.skipped_comments;
+    return false;
+  }
+  std::array<std::string_view, detail::kMaxLineFields> fields;
+  std::size_t field_count = detail::split_fields(trimmed, fields);
+
+  ParseReason reason = ParseReason::kOk;
+  detail::ParsedRoute route;
+  int day = 0;
+  if (field_count != 8) {
+    reason = ParseReason::kBadFieldCount;
+  } else if (fields[0] != "TABLE_DUMP2" || fields[2] != "B") {
+    reason = ParseReason::kBadRecordType;
+  } else {
+    reason = detail::parse_route_fields({fields.data(), field_count},
+                                        /*want_path=*/true, route);
+  }
+  if (reason == ParseReason::kOk) {
+    reason = detail::day_from_timestamp(route.timestamp, options.base_time,
+                                        options.max_day, day);
+  }
+  if (reason != ParseReason::kOk) {
+    if (options.mode == ParseMode::kStrict) {
+      throw MrtParseError{stats.lines, reason, trimmed};
+    }
+    stats.record_malformed(reason, stats.lines, trimmed);
+    return false;
+  }
+  out.vp = route.vp;
+  out.prefix = route.prefix;
+  out.path = std::move(route.path);
+  day_out = day;
+  if (route.has_as_set) ++stats.as_set;
+  ++stats.parsed;
+  return true;
+}
 
 }  // namespace georank::bgp

@@ -1,8 +1,9 @@
 // The shared parse core of the text-ingest layer.
 //
-// Both bgpdump-style readers (bgp::MrtTextReader for TABLE_DUMP2 RIB
-// dumps, bgp::UpdateTextReader for BGP4MP update archives) decode the
-// same pipe-delimited field layout:
+// Both bgpdump-style readers (bgp::parse_line below, behind
+// bgp::MrtStreamLoader, for TABLE_DUMP2 RIB dumps; bgp::UpdateTextReader
+// for BGP4MP update archives) decode the same pipe-delimited field
+// layout:
 //
 //   <record-type>|<unix-time>|<marker>|<peer-ip>|<peer-asn>|<prefix>[|<as-path>|IGP]
 //
@@ -124,6 +125,20 @@ struct MrtParseStats {
   [[nodiscard]] double lines_per_second() const noexcept;
   [[nodiscard]] double mbytes_per_second() const noexcept;
 };
+
+struct MrtStreamOptions;  // bgp/mrt_stream.hpp
+
+/// Parses one bgpdump TABLE_DUMP2 line into `out`; returns false (and
+/// leaves `out` untouched) for comments/blank/malformed lines. Every
+/// call counts one line into `stats`, whose running `lines` total is the
+/// 1-based line number a malformed line is recorded (or thrown) under.
+/// `day_out` receives the day index recovered from the timestamp against
+/// options.base_time / options.max_day. When options.mode is kStrict,
+/// malformed lines throw MrtParseError instead of returning false.
+[[nodiscard]] bool parse_line(std::string_view line,
+                              const MrtStreamOptions& options,
+                              MrtParseStats& stats, RouteEntry& out,
+                              int& day_out);
 
 namespace detail {
 

@@ -21,13 +21,10 @@ struct ChunkResult {
 };
 
 ChunkResult parse_chunk(std::string_view chunk, const MrtStreamOptions& options) {
-  MrtReaderOptions reader_options;
-  reader_options.base_time = options.base_time;
   // Workers always run tolerant; strict mode is enforced at the ordered
   // merge so the reported first error is deterministic under any schedule.
-  reader_options.mode = ParseMode::kTolerant;
-  reader_options.max_day = options.max_day;
-  MrtTextReader reader{reader_options};
+  MrtStreamOptions tolerant = options;
+  tolerant.mode = ParseMode::kTolerant;
 
   ChunkResult out;
   // ~72 bytes per MRT line in practice; reserving up front keeps the
@@ -41,11 +38,10 @@ ChunkResult parse_chunk(std::string_view chunk, const MrtStreamOptions& options)
     std::size_t end = newline == std::string_view::npos ? chunk.size() : newline;
     std::string_view line = chunk.substr(pos, end - pos);
     pos = newline == std::string_view::npos ? chunk.size() : newline + 1;
-    if (reader.parse_line(line, entry, day)) {
+    if (parse_line(line, tolerant, out.stats, entry, day)) {
       out.entries.emplace_back(day, std::move(entry));
     }
   }
-  out.stats = reader.stats();
   return out;
 }
 
@@ -117,21 +113,15 @@ RibCollection collect_days(std::map<int, RibSnapshot>& by_day) {
   return out;
 }
 
-/// Sequential fast path for threads == 1: one persistent reader parses
-/// straight into the day snapshots, skipping the chunk-result staging
-/// and its per-entry moves entirely. The reader's own line counter is
-/// global here, so strict mode throws with the right line number
-/// without any offset bookkeeping.
+/// Sequential fast path for threads == 1: lines parse straight into the
+/// day snapshots, skipping the chunk-result staging and its per-entry
+/// moves entirely. The stats' line counter is global here, so strict
+/// mode throws with the right line number without any offset
+/// bookkeeping.
 template <typename ChunkType, typename NextChunk>
 RibCollection load_sequential(const MrtStreamOptions& options,
                               MrtParseStats& stats, NextChunk&& next_chunk,
                               std::chrono::steady_clock::time_point start) {
-  MrtReaderOptions reader_options;
-  reader_options.base_time = options.base_time;
-  reader_options.mode = options.mode;
-  reader_options.max_day = options.max_day;
-  MrtTextReader reader{reader_options};
-
   std::map<int, RibSnapshot> by_day;
   int last_day = -1;
   RibSnapshot* last_snap = nullptr;
@@ -148,7 +138,7 @@ RibCollection load_sequential(const MrtStreamOptions& options,
       std::size_t end = newline == std::string_view::npos ? view.size() : newline;
       std::string_view line = view.substr(pos, end - pos);
       pos = newline == std::string_view::npos ? view.size() : newline + 1;
-      if (!reader.parse_line(line, entry, day)) continue;
+      if (!parse_line(line, options, stats, entry, day)) continue;
       if (day != last_day || last_snap == nullptr) {
         // Dumps are written day by day, so the previous day's entry
         // count is a good capacity hint for a fresh snapshot.
@@ -163,7 +153,6 @@ RibCollection load_sequential(const MrtStreamOptions& options,
       last_snap->entries.push_back(std::move(entry));
     }
   }
-  stats = reader.stats();
   stats.bytes = bytes;
   stats.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -5,8 +5,9 @@
 // MrtStreamLoader reads the input in bounded-memory, newline-aligned
 // chunks, parses a batch of chunks in parallel on util::parallel_for,
 // and merges the results back in INPUT ORDER, so the resulting
-// RibCollection is bit-identical to MrtTextReader::read_collection on
-// the same input for any chunk size or thread count. Memory is bounded
+// RibCollection (and its stats) is bit-identical to a threads = 1 load
+// of the same input for any chunk size or thread count: every line goes
+// through bgp::parse_line (bgp/line_parse.hpp). Memory is bounded
 // by chunks_per_batch * chunk_bytes of text (plus the parsed output),
 // never the whole dump.
 //
@@ -22,15 +23,19 @@
 #include <iosfwd>
 #include <string_view>
 
+#include "bgp/line_parse.hpp"
 #include "bgp/mrt_text.hpp"
 
 namespace georank::bgp {
 
 struct MrtStreamOptions {
-  /// Day 0 starts here (see MrtReaderOptions::base_time).
+  /// Day 0 starts here; each day d covers [base + d*86400, base + (d+1)*86400).
   std::uint64_t base_time = 1617235200;
   ParseMode mode = ParseMode::kTolerant;
-  /// Sane day horizon (see MrtReaderOptions::max_day).
+  /// Sane day horizon: timestamps at or past base_time + max_day*86400
+  /// (or before base_time) are rejected as day_out_of_range. Real
+  /// collections span days, not years; anything outside is clock skew,
+  /// a mixed-up archive, or corruption.
   int max_day = 366;
   /// Target chunk size; chunks are extended to the next newline (a single
   /// line longer than this grows its chunk, so pathological one-line
@@ -48,7 +53,6 @@ class MrtStreamLoader {
       : options_(options) {}
 
   /// Parses the whole stream into a day-grouped RibCollection.
-  /// Bit-identical to MrtTextReader::read_collection on the same input.
   [[nodiscard]] RibCollection load(std::istream& is);
 
   /// Same, over an in-memory buffer (chunked without copying the text).

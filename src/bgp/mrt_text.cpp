@@ -1,12 +1,7 @@
 #include "bgp/mrt_text.hpp"
 
-#include <array>
-#include <istream>
-#include <map>
 #include <ostream>
 #include <sstream>
-
-#include "util/strings.hpp"
 
 namespace georank::bgp {
 
@@ -29,77 +24,11 @@ void MrtTextWriter::write_collection(const RibCollection& collection) {
   for (const RibSnapshot& s : collection.days) write_snapshot(s);
 }
 
-bool MrtTextReader::parse_line(std::string_view line, RouteEntry& out, int& day_out) {
-  ++stats_.lines;
-  std::string_view trimmed = util::trim(line);
-  if (trimmed.empty() || trimmed.front() == '#') {
-    ++stats_.skipped_comments;
-    return false;
-  }
-  std::array<std::string_view, detail::kMaxLineFields> fields;
-  std::size_t field_count = detail::split_fields(trimmed, fields);
-
-  ParseReason reason = ParseReason::kOk;
-  detail::ParsedRoute route;
-  int day = 0;
-  if (field_count != 8) {
-    reason = ParseReason::kBadFieldCount;
-  } else if (fields[0] != "TABLE_DUMP2" || fields[2] != "B") {
-    reason = ParseReason::kBadRecordType;
-  } else {
-    reason = detail::parse_route_fields({fields.data(), field_count},
-                                        /*want_path=*/true, route);
-  }
-  if (reason == ParseReason::kOk) {
-    reason = detail::day_from_timestamp(route.timestamp, options_.base_time,
-                                        options_.max_day, day);
-  }
-  if (reason != ParseReason::kOk) {
-    if (options_.mode == ParseMode::kStrict) {
-      throw MrtParseError{stats_.lines, reason, trimmed};
-    }
-    stats_.record_malformed(reason, stats_.lines, trimmed);
-    return false;
-  }
-  out.vp = route.vp;
-  out.prefix = route.prefix;
-  out.path = std::move(route.path);
-  day_out = day;
-  if (route.has_as_set) ++stats_.as_set;
-  ++stats_.parsed;
-  return true;
-}
-
-RibCollection MrtTextReader::read_collection(std::istream& is) {
-  std::map<int, RibSnapshot> by_day;
-  std::string line;
-  RouteEntry entry;
-  int day = 0;
-  while (std::getline(is, line)) {
-    if (!parse_line(line, entry, day)) continue;
-    RibSnapshot& snap = by_day[day];
-    snap.day = day;
-    snap.entries.push_back(std::move(entry));
-  }
-  RibCollection out;
-  out.days.reserve(by_day.size());
-  for (auto& [d, snap] : by_day) out.days.push_back(std::move(snap));
-  return out;
-}
-
 std::string to_mrt_text(const RibCollection& collection) {
   std::ostringstream os;
   MrtTextWriter writer{os};
   writer.write_collection(collection);
   return os.str();
-}
-
-RibCollection from_mrt_text(std::string_view text, MrtParseStats* stats) {
-  std::istringstream is{std::string(text)};
-  MrtTextReader reader;
-  RibCollection out = reader.read_collection(is);
-  if (stats) *stats = reader.stats();
-  return out;
 }
 
 }  // namespace georank::bgp

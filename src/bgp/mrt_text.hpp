@@ -5,32 +5,19 @@
 //
 // The real pipeline ingests libbgpdump output; ours round-trips through the
 // same shape so the parsing/plumbing layer is exercised identically.
-// The reader defaults to tolerant mode (malformed lines are counted per
-// reason, not fatal — see bgp/line_parse.hpp); strict mode throws
-// MrtParseError at the first malformed line. For parallel bounded-memory
-// ingest of whole streams, see bgp::MrtStreamLoader (bgp/mrt_stream.hpp).
+// MrtTextWriter emits it; bgp::MrtStreamLoader (bgp/mrt_stream.hpp) reads
+// it back, tolerant by default (malformed lines are counted per reason,
+// not fatal — see bgp/line_parse.hpp) or strict (MrtParseError at the
+// first malformed line).
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
-#include "bgp/line_parse.hpp"
 #include "bgp/route.hpp"
 
 namespace georank::bgp {
-
-struct MrtReaderOptions {
-  /// Day 0 starts here; each day d covers [base + d*86400, base + (d+1)*86400).
-  std::uint64_t base_time = 1617235200;
-  ParseMode mode = ParseMode::kTolerant;
-  /// Sane day horizon: timestamps at or past base_time + max_day*86400
-  /// (or before base_time) are rejected as day_out_of_range. Real
-  /// collections span days, not years; anything outside is clock skew,
-  /// a mixed-up archive, or corruption.
-  int max_day = 366;
-};
 
 class MrtTextWriter {
  public:
@@ -47,31 +34,7 @@ class MrtTextWriter {
   std::uint64_t base_time_;
 };
 
-class MrtTextReader {
- public:
-  /// Parses one bgpdump-style line into `out`; returns false (and leaves
-  /// `out` untouched) for comments/blank/malformed lines. `day_out`
-  /// receives the day index recovered from the timestamp. In strict mode
-  /// malformed lines throw MrtParseError instead of returning false.
-  [[nodiscard]] bool parse_line(std::string_view line, RouteEntry& out, int& day_out);
-
-  /// Reads a whole stream into a RibCollection, grouping by day.
-  [[nodiscard]] RibCollection read_collection(std::istream& is);
-
-  [[nodiscard]] const MrtParseStats& stats() const noexcept { return stats_; }
-
-  explicit MrtTextReader(std::uint64_t base_time = 1617235200) {
-    options_.base_time = base_time;
-  }
-  explicit MrtTextReader(const MrtReaderOptions& options) : options_(options) {}
-
- private:
-  MrtParseStats stats_;
-  MrtReaderOptions options_;
-};
-
-/// Round-trip helpers used by tests and the pipeline.
+/// The whole collection as one text dump (tests and examples).
 [[nodiscard]] std::string to_mrt_text(const RibCollection& collection);
-[[nodiscard]] RibCollection from_mrt_text(std::string_view text, MrtParseStats* stats = nullptr);
 
 }  // namespace georank::bgp

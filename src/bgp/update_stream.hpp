@@ -21,7 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bgp/mrt_text.hpp"
+#include "bgp/line_parse.hpp"
 #include "bgp/route.hpp"
 
 namespace georank::bgp {
@@ -125,7 +125,7 @@ class RibState {
     const RibCollection& collection, std::uint64_t base_time = 1617235200);
 
 /// How replay_to_collection treats stream irregularities. Mirrors
-/// MrtReaderOptions: same base_time epoch, same ParseMode semantics
+/// MrtStreamOptions: same base_time epoch, same ParseMode semantics
 /// (strict throws, tolerant counts and skips), same day horizon.
 struct ReplayOptions {
   std::uint64_t base_time = 1617235200;

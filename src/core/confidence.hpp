@@ -12,8 +12,7 @@
 // core::Pipeline annotates every CountryMetrics with a tier, and the
 // robust:: library builds full health reports and fault-injection
 // harnesses on top of core, so the tier vocabulary sits in core — the
-// lowest module that names it — and robust:: re-exports it (see the
-// aliases at the bottom; robust/confidence.hpp forwards here).
+// lowest module that names it — and every module spells it core::.
 #pragma once
 
 #include <cstddef>
@@ -102,12 +101,3 @@ struct DegradationPolicy {
 };
 
 }  // namespace georank::core
-
-// The vocabulary predates the core<->robust layering fix and the whole
-// tree spells it robust::ConfidenceTier etc.; keep those names valid.
-namespace georank::robust {
-using core::ConfidenceTier;
-using core::DegradationPolicy;
-using core::to_string;
-using core::worst;
-}  // namespace georank::robust

@@ -59,7 +59,3 @@ class PathShard;
                                          const DegradationPolicy& policy);
 
 }  // namespace georank::core
-
-namespace georank::robust {
-using core::CountryHealth;
-}  // namespace georank::robust

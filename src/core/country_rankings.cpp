@@ -1,6 +1,5 @@
 #include "core/country_rankings.hpp"
 
-#include "core/path_store.hpp"
 #include "core/sharded_path_store.hpp"
 
 namespace georank::core {
@@ -63,17 +62,6 @@ CountryMetrics CountryRankings::compute(
   return metrics_from_views(*this, country,
                             ViewBuilder::national(all_paths, country),
                             ViewBuilder::international(all_paths, country));
-}
-
-CountryMetrics CountryRankings::compute(const PathStore& store,
-                                        geo::CountryCode country) const {
-  return metrics_from_views(*this, country, store.national_view(country),
-                            store.international_view(country));
-}
-
-OutboundMetrics CountryRankings::compute_outbound(
-    const PathStore& store, geo::CountryCode country) const {
-  return outbound_from_view(*this, country, store.outbound_view(country));
 }
 
 CountryMetrics CountryRankings::compute(const ShardedPathStore& store,

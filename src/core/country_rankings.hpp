@@ -28,12 +28,12 @@ struct CountryMetrics {
   std::size_t international_vps = 0;
   std::uint64_t national_addresses = 0;
   std::uint64_t international_addresses = 0;
-  /// Evidence tier per the pipeline's robust::DegradationPolicy. Only
+  /// Evidence tier per the pipeline's DegradationPolicy. Only
   /// Pipeline queries annotate it; CountryRankings::compute leaves the
   /// defaults (it sees one view at a time, not the evidence record).
   /// Countries with insufficient evidence keep their (possibly empty)
   /// rankings — results are flagged, never fabricated.
-  robust::ConfidenceTier confidence = robust::ConfidenceTier::kHigh;
+  ConfidenceTier confidence = ConfidenceTier::kHigh;
   /// Address-weighted geolocation consensus share in [0,1].
   double geo_consensus = 1.0;
 };
@@ -65,18 +65,10 @@ class CountryRankings {
       std::span<const sanitize::SanitizedPath> all_paths,
       geo::CountryCode country) const;
 
-  /// Zero-copy equivalents over a prebuilt PathStore: the views are index
-  /// gathers, no path is copied. Produces bit-identical results to the
-  /// span overloads (same path iteration order).
-  [[nodiscard]] CountryMetrics compute(const PathStore& store,
-                                       geo::CountryCode country) const;
-  [[nodiscard]] OutboundMetrics compute_outbound(const PathStore& store,
-                                                 geo::CountryCode country) const;
-
   /// Shard-backed equivalents: the kernels run over ONE country's shard
   /// (borrowed columns, borrowed precomputed index lists — nothing is
-  /// gathered or copied at all). Bit-identical to the span/PathStore
-  /// overloads: shard rows keep global path order.
+  /// gathered or copied at all). Bit-identical to the span overloads
+  /// above, the reference oracle: shard rows keep global path order.
   [[nodiscard]] CountryMetrics compute(const ShardedPathStore& store,
                                        geo::CountryCode country) const;
   [[nodiscard]] OutboundMetrics compute_outbound(const ShardedPathStore& store,

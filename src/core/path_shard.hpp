@@ -1,9 +1,9 @@
 // One country's slice of the sharded path store.
 //
-// A shard owns its own column set (structure-of-arrays, exactly the
-// PathStore layout) holding every sanitized path that TOUCHES its
-// country — prefix geolocated there, VP hosted there, or both — in
-// ascending global row order. What it does NOT own is hop storage: AS
+// A shard owns its own column set (structure-of-arrays, so view filters
+// scan dense CountryCode arrays) holding every sanitized path that
+// TOUCHES its country — prefix geolocated there, VP hosted there, or
+// both — in ascending global row order. What it does NOT own is hop storage: AS
 // paths are handles into the ShardedPathStore's shared interned-hop
 // dictionary, so a path seen from forty countries is stored once.
 //
@@ -64,7 +64,7 @@ class PathShard {
 
   // Precomputed row selections (shard-local indices, ascending — which
   // is also ascending GLOBAL order, so metric accumulation order matches
-  // the monolithic store bit for bit).
+  // a linear filter over the input bit for bit).
   /// Rows whose prefix geolocates to this country.
   [[nodiscard]] std::span<const std::uint32_t> prefix_rows() const noexcept {
     return prefix_rows_;

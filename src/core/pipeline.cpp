@@ -33,6 +33,7 @@ void Pipeline::load_impl(const bgp::RibCollection& ribs, bgp::MrtParseStats stat
   // old state or the new one, never a mix. run_full also recaptures the
   // sanitizer memo that apply_updates' fast path builds on.
   sanitize::SanitizeResult result = sanitizer_.run_full(ribs);
+  const std::lock_guard<std::mutex> gate(cache_->reload_gate);
   const std::unique_lock<std::shared_mutex> reload(cache_->reload);
   parse_stats_ = std::move(stats);
   sanitized_ = std::move(result);
@@ -54,6 +55,7 @@ Pipeline::ApplyResult Pipeline::apply_updates(const bgp::RibCollection& ribs) {
   const bool fast = sanitized_.has_value() && sanitizer_.can_fast_path(ribs);
   std::optional<sanitize::SanitizeResult> full;
   if (!fast) full = sanitizer_.run_full(ribs, &outcome);
+  const std::lock_guard<std::mutex> gate(cache_->reload_gate);
   const std::unique_lock<std::shared_mutex> reload(cache_->reload);
   ApplyResult out;
   if (fast) {
@@ -96,6 +98,7 @@ std::optional<Pipeline::ApplyResult> Pipeline::apply_delta(
       sanitizer_.plan_delta(day, deltas, *sanitized_);
   if (!plan) return std::nullopt;
 
+  const std::lock_guard<std::mutex> gate(cache_->reload_gate);
   const std::unique_lock<std::shared_mutex> reload(cache_->reload);
   for (std::uint32_t row : plan->erase) {
     count_geo_evidence_row(sanitized_->paths[row], /*added=*/false);
@@ -131,6 +134,7 @@ Pipeline::Checkpoint Pipeline::checkpoint() const {
   // orders this against nothing, but keeps the lock discipline uniform
   // with every other world read.
   const std::lock_guard<std::mutex> serial(cache_->load_serial);
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::checkpoint()");
   Checkpoint chk;
@@ -161,6 +165,7 @@ Pipeline::ApplyResult Pipeline::restore(const Checkpoint& checkpoint) {
   // The sanitizer memo is only ever read under load_serial, so it can be
   // restored outside the reload lock like apply_updates' full run.
   sanitizer_ = *checkpoint.sanitizer_;
+  const std::lock_guard<std::mutex> gate(cache_->reload_gate);
   const std::unique_lock<std::shared_mutex> reload(cache_->reload);
   parse_stats_ = checkpoint.parse_stats_;
   sanitized_ = checkpoint.sanitized_;
@@ -356,6 +361,7 @@ void Pipeline::load_stream(std::istream& is) {
 bool Pipeline::loaded() const {
   // Unsynchronized, this is a racy read of an optional being emplaced by
   // load() — ThreadSanitizer flagged it against the reload stress test.
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   return sanitized_.has_value();
 }
@@ -390,6 +396,7 @@ Pipeline::CacheStats Pipeline::cache_stats() const {
 }
 
 Pipeline::GeoEvidence Pipeline::geo_evidence(geo::CountryCode country) const {
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::geo_evidence()");
   auto it = geo_evidence_.find(country);
@@ -400,7 +407,7 @@ CountryMetrics Pipeline::country_uncached(geo::CountryCode country) const {
   CountryMetrics metrics = rankings_.compute(*store_, country);
   auto it = geo_evidence_.find(country);
   GeoEvidence evidence = it == geo_evidence_.end() ? GeoEvidence{} : it->second;
-  metrics.geo_consensus = robust::DegradationPolicy::geo_consensus_share(
+  metrics.geo_consensus = DegradationPolicy::geo_consensus_share(
       evidence.accepted, evidence.rejected);
   metrics.confidence = config_.degradation.country_tier(
       metrics.national_vps, metrics.international_vps, evidence.accepted,
@@ -409,6 +416,7 @@ CountryMetrics Pipeline::country_uncached(geo::CountryCode country) const {
 }
 
 CountryMetrics Pipeline::country(geo::CountryCode country) const {
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::country()");
   {
@@ -423,6 +431,7 @@ CountryMetrics Pipeline::country(geo::CountryCode country) const {
 }
 
 OutboundMetrics Pipeline::outbound(geo::CountryCode country) const {
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::outbound()");
   {
@@ -436,7 +445,7 @@ OutboundMetrics Pipeline::outbound(geo::CountryCode country) const {
       .first->second;
 }
 
-robust::CountryHealth Pipeline::country_health_uncached(
+CountryHealth Pipeline::country_health_uncached(
     geo::CountryCode country) const {
   GeoEvidence evidence;
   if (const auto it = geo_evidence_.find(country); it != geo_evidence_.end()) {
@@ -447,7 +456,8 @@ robust::CountryHealth Pipeline::country_health_uncached(
                       evidence.rejected, config_.degradation);
 }
 
-robust::CountryHealth Pipeline::country_health(geo::CountryCode country) const {
+CountryHealth Pipeline::country_health(geo::CountryCode country) const {
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::country_health()");
   {
@@ -455,7 +465,7 @@ robust::CountryHealth Pipeline::country_health(geo::CountryCode country) const {
     auto it = cache_->health.find(country.raw());
     if (it != cache_->health.end()) return it->second;
   }
-  robust::CountryHealth health = country_health_uncached(country);
+  CountryHealth health = country_health_uncached(country);
   const std::lock_guard<std::mutex> lock(cache_->mutex);
   return cache_->health.try_emplace(country.raw(), health).first->second;
 }
@@ -474,6 +484,7 @@ std::vector<Value> Pipeline::census_of(const Memo& memo, const char* where,
   std::vector<Value> out;
   std::vector<std::size_t> misses;
   {
+    cache_->wait_for_writers();
     const std::shared_lock<std::shared_mutex> reload(cache_->reload);
     require_loaded(where);
     countries = store_->countries();
@@ -511,23 +522,24 @@ std::vector<CountryMetrics> Pipeline::all_countries() const {
       [this](geo::CountryCode cc) { return country(cc); });
 }
 
-std::vector<robust::CountryHealth> Pipeline::all_country_health() const {
-  return census_of<robust::CountryHealth>(
+std::vector<CountryHealth> Pipeline::all_country_health() const {
+  return census_of<CountryHealth>(
       cache_->health, "Pipeline::all_country_health()",
       [this](geo::CountryCode cc) { return country_health(cc); });
 }
 
 rank::Ranking Pipeline::global_cone_by_as_count() const {
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::global_cone_by_as_count()");
   // Global queries run over the sanitized rows directly (original path
-  // order, no cross-shard merge), which is exactly the iteration order
-  // the monolithic store's all() produced.
+  // order, no cross-shard merge).
   rank::CustomerCone cone{*relationships_};
   return cone.compute(sanitize::PathsView{sanitized_->paths}).by_as_count();
 }
 
 rank::Ranking Pipeline::global_cone_by_addresses() const {
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::global_cone_by_addresses()");
   rank::CustomerCone cone{*relationships_};
@@ -535,6 +547,7 @@ rank::Ranking Pipeline::global_cone_by_addresses() const {
 }
 
 rank::Ranking Pipeline::global_hegemony() const {
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::global_hegemony()");
   rank::Hegemony hegemony{config_.hegemony};
@@ -543,6 +556,7 @@ rank::Ranking Pipeline::global_hegemony() const {
 
 rank::Ranking Pipeline::ahc(const rank::AsRegistry& registry,
                             geo::CountryCode country) const {
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::ahc()");
   rank::AhcRanking ahc{registry, config_.hegemony};
@@ -550,6 +564,7 @@ rank::Ranking Pipeline::ahc(const rank::AsRegistry& registry,
 }
 
 rank::Ranking Pipeline::cti(geo::CountryCode country) const {
+  cache_->wait_for_writers();
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::cti()");
   CountryView view = store_->international_view(country);

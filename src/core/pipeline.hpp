@@ -47,7 +47,7 @@ struct PipelineConfig {
   bgp::MrtStreamOptions ingest;
   /// Thresholds mapping per-country evidence onto the ConfidenceTier
   /// every CountryMetrics is annotated with (paper defaults).
-  robust::DegradationPolicy degradation;
+  DegradationPolicy degradation;
 };
 
 class Pipeline {
@@ -182,7 +182,7 @@ class Pipeline {
     std::unordered_map<std::uint16_t, std::uint64_t> outbound_digests_;
     std::unordered_map<std::uint16_t, CountryMetrics> cache_country_;
     std::unordered_map<std::uint16_t, OutboundMetrics> cache_outbound_;
-    std::unordered_map<std::uint16_t, robust::CountryHealth> cache_health_;
+    std::unordered_map<std::uint16_t, CountryHealth> cache_health_;
   };
 
   /// Captures the currently loaded world, including which per-country
@@ -238,13 +238,13 @@ class Pipeline {
   /// what keeps serve::Snapshot::build from re-scanning every shard's
   /// rows on an incremental republish (robust::compute_health routes
   /// through it when the policy matches the pipeline's).
-  [[nodiscard]] robust::CountryHealth country_health(
+  [[nodiscard]] CountryHealth country_health(
       geo::CountryCode country) const;
 
   /// country_health() for every census country (store().countries()
   /// order). Memo hits are resolved inline; only the misses fan out,
   /// largest shard first, so a fully warm report starts no thread.
-  [[nodiscard]] std::vector<robust::CountryHealth> all_country_health() const;
+  [[nodiscard]] std::vector<CountryHealth> all_country_health() const;
 
   /// The full census: CountryMetrics for EVERY country with at least one
   /// geolocated prefix, sorted by country code. Computed in parallel
@@ -334,7 +334,7 @@ class Pipeline {
   /// core::shard_health over the country's shard and attributed
   /// rejections (the worker robust::compute_health shares); called with
   /// the reload lock held shared.
-  [[nodiscard]] robust::CountryHealth country_health_uncached(
+  [[nodiscard]] CountryHealth country_health_uncached(
       geo::CountryCode country) const;
 
   const geo::GeoDatabase* geo_db_;
@@ -377,6 +377,17 @@ class Pipeline {
   // `mutex`). Boxed so Pipeline stays movable despite the locks.
   struct MemoCache {
     std::shared_mutex reload;
+    /// Makes `reload` writer-preferring. glibc's shared_mutex prefers
+    /// readers, so queries that overlap back to back keep it shared
+    /// forever and starve load(). A writer holds the gate from before it
+    /// asks for `reload` until it lets go; every reader passes through
+    /// the gate first (wait_for_writers()), so once a writer is waiting
+    /// only the reads already past the gate finish ahead of it. Always
+    /// acquired after `load_serial` and before `reload`.
+    std::mutex reload_gate;
+    void wait_for_writers() {
+      const std::lock_guard<std::mutex> pass(reload_gate);
+    }
     /// Serializes whole load()/apply_updates() calls against each other
     /// (they mutate the sanitizer memo OUTSIDE the reload lock, which
     /// only the swap takes). Always acquired before `reload`.
@@ -386,7 +397,7 @@ class Pipeline {
         GEORANK_GUARDED_BY(mutex);
     std::unordered_map<std::uint16_t, OutboundMetrics> outbound
         GEORANK_GUARDED_BY(mutex);
-    std::unordered_map<std::uint16_t, robust::CountryHealth> health
+    std::unordered_map<std::uint16_t, CountryHealth> health
         GEORANK_GUARDED_BY(mutex);
   };
   std::unique_ptr<MemoCache> cache_ = std::make_unique<MemoCache>();

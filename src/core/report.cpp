@@ -44,9 +44,9 @@ std::string render_country_report(const CountryReport& report,
     os << ", outbound VPs " << report.outbound.vps;
   }
   os << "\n";
-  os << "confidence: " << robust::to_string(report.metrics.confidence)
+  os << "confidence: " << to_string(report.metrics.confidence)
      << " (geo consensus " << util::percent(report.metrics.geo_consensus) << ")";
-  if (report.metrics.confidence == robust::ConfidenceTier::kInsufficient) {
+  if (report.metrics.confidence == ConfidenceTier::kInsufficient) {
     os << " — too little evidence; treat scores as unranked";
   }
   os << "\n\n";

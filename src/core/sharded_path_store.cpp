@@ -14,9 +14,8 @@ namespace georank::core {
 
 namespace {
 
-/// FNV-1a over the hop sequence — the same pre-hash PathStore uses, so
-/// the interned dictionary comes out bit-identical to the monolithic
-/// build (full content compare still decides).
+/// FNV-1a over the hop sequence — cheap, deterministic, and only used to
+/// pre-select interning candidates (full content compare decides).
 std::uint64_t hash_hops(std::span<const bgp::Asn> hops) noexcept {
   std::uint64_t h = 14695981039346656037ull;
   for (bgp::Asn hop : hops) {
@@ -39,8 +38,8 @@ ShardedPathStore::ShardedPathStore(
 }
 
 sanitize::PathHandle ShardedPathStore::intern(std::span<const bgp::Asn> hops) {
-  // Identical algorithm to PathStore: hash(hops) pre-selects candidates,
-  // content compare against the arena decides, first occurrence appends.
+  // hash(hops) pre-selects candidates, content compare against the arena
+  // decides, first occurrence appends.
   std::vector<sanitize::PathHandle>& bucket = interned_[hash_hops(hops)];
   for (const sanitize::PathHandle& cand : bucket) {
     if (cand.length == hops.size() &&

@@ -1,5 +1,7 @@
-// ShardedPathStore: the internet-scale successor to the monolithic
-// PathStore. The sanitized path set is split into per-country shards —
+// ShardedPathStore: columnar storage of the sanitized path set, the one
+// store every production query reads (the paper's census slices one
+// global set into hundreds of overlapping per-country views, §3.2,
+// Table 2). The set is split into per-country shards —
 // one independently-owned column set per country (see path_shard.hpp) —
 // plus ONE shared interned-hop dictionary, so no single contiguous
 // column allocation ever holds the whole world and every layer above
@@ -8,9 +10,10 @@
 // Build is two-phase:
 //
 //   1. Hop interning is a single deterministic pass over the input in
-//      row order — the exact algorithm PathStore uses (FNV-1a bucket,
-//      full content compare), so the dictionary, unique-path count and
-//      arena are bit-identical to the monolithic build.
+//      row order (FNV-1a bucket, full content compare): the propagation
+//      process makes paths massively redundant (every VP behind the same
+//      upstream sees the same tail), so each distinct hop sequence is
+//      stored once and rows carry 8-byte handles.
 //   2. Shard assignment marks each row's target shard(s) sequentially
 //      (a row lands in its prefix country's shard and, if different,
 //      its VP country's shard; invalid codes never create shards), then
@@ -20,9 +23,9 @@
 //
 // Determinism: shard rows keep ascending global row order and the
 // selection lists are ascending, so any metric computed over a shard
-// view accumulates in exactly the order the monolithic store produced —
-// results are bit-identical to PathStore's and independent of the build
-// thread count.
+// view accumulates in exactly the order a linear filter over the input
+// visits the paths — results are bit-identical to the span-based
+// ViewBuilder oracle and independent of the build thread count.
 //
 // Lifetime: the store owns arena + shards; shards and every view
 // derived from them borrow it. Not copyable (shards point into the
@@ -138,8 +141,7 @@ class ShardedPathStore {
     return vp_countries_;
   }
 
-  // Zero-copy shard-backed views (empty views for unknown countries,
-  // matching PathStore's contract).
+  // Zero-copy shard-backed views (empty views for unknown countries).
   [[nodiscard]] CountryView national_view(geo::CountryCode country) const;
   [[nodiscard]] CountryView international_view(geo::CountryCode country) const;
   [[nodiscard]] CountryView outbound_view(geo::CountryCode country) const;

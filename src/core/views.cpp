@@ -1,11 +1,11 @@
 #include "core/views.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
 #include "bgp/prefix_trie.hpp"
-#include "core/path_store.hpp"
 
 namespace georank::core {
 
@@ -27,23 +27,35 @@ CountryView::CountryView(const sanitize::PathColumns& cols,
   rebind();
 }
 
-CountryView::CountryView(const PathStore& store,
-                         std::vector<std::uint32_t> indices,
-                         geo::CountryCode view_country, ViewKind view_kind)
-    : CountryView(store.columns(), std::move(indices), view_country,
-                  view_kind) {}
+struct CountryView::OwnedRows {
+  std::vector<bgp::VpId> vp;
+  std::vector<geo::CountryCode> vp_country;
+  std::vector<bgp::Prefix> prefix;
+  std::vector<geo::CountryCode> prefix_country;
+  std::vector<std::uint64_t> weight;
+  std::vector<sanitize::PathHandle> handle;
+  std::vector<bgp::Asn> arena;
 
-CountryView::CountryView(std::shared_ptr<const PathStore> owned,
-                         std::vector<std::uint32_t> indices,
-                         geo::CountryCode view_country, ViewKind view_kind)
-    : country(view_country),
-      kind(view_kind),
-      cols_(owned->columns()),
-      owned_(std::move(owned)),
-      indices_storage_(std::move(indices)),
-      indices_(indices_storage_) {
-  rebind();
-}
+  explicit OwnedRows(std::span<const sanitize::SanitizedPath> paths) {
+    for (const sanitize::SanitizedPath& sp : paths) {
+      vp.push_back(sp.vp);
+      vp_country.push_back(sp.vp_country);
+      prefix.push_back(sp.prefix);
+      prefix_country.push_back(sp.prefix_country);
+      weight.push_back(sp.weight);
+      const std::span<const bgp::Asn> hops = sp.path.hops();
+      handle.push_back({static_cast<std::uint32_t>(arena.size()),
+                        static_cast<std::uint32_t>(hops.size())});
+      arena.insert(arena.end(), hops.begin(), hops.end());
+    }
+  }
+
+  [[nodiscard]] sanitize::PathColumns columns() const noexcept {
+    return {vp.data(),     vp_country.data(), prefix.data(),
+            prefix_country.data(), weight.data(), handle.data(),
+            arena.data()};
+  }
+};
 
 void CountryView::rebind() noexcept {
   paths_ = sanitize::PathsView{cols_, indices_};
@@ -105,13 +117,15 @@ CountryView& CountryView::operator=(CountryView&& other) noexcept {
   return *this;
 }
 
-CountryView CountryView::from_paths(std::vector<sanitize::SanitizedPath> paths,
-                                    geo::CountryCode country, ViewKind kind) {
-  auto store = std::make_shared<const PathStore>(
-      std::span<const sanitize::SanitizedPath>{paths});
-  std::vector<std::uint32_t> indices(store->size());
-  for (std::uint32_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  return CountryView{std::move(store), std::move(indices), country, kind};
+CountryView CountryView::from_paths(
+    const std::vector<sanitize::SanitizedPath>& paths, geo::CountryCode country,
+    ViewKind kind) {
+  auto rows = std::make_shared<const OwnedRows>(paths);
+  std::vector<std::uint32_t> indices(paths.size());
+  std::iota(indices.begin(), indices.end(), std::uint32_t{0});
+  CountryView out{rows->columns(), std::move(indices), country, kind};
+  out.owned_ = std::move(rows);
+  return out;
 }
 
 sanitize::PathRecord CountryView::operator[](std::size_t i) const {
@@ -190,7 +204,7 @@ CountryView filtered_view(std::span<const sanitize::SanitizedPath> all,
   for (const sanitize::SanitizedPath& sp : all) {
     if (match(sp, country)) subset.push_back(sp);
   }
-  return CountryView::from_paths(std::move(subset), country, kind);
+  return CountryView::from_paths(subset, country, kind);
 }
 
 }  // namespace

@@ -8,16 +8,15 @@
 // Every country metric is "the corresponding global metric computed on a
 // view". Views used to materialize their path subset (deep-copying every
 // AsPath); they are now INDEX LISTS over columnar storage — an O(view
-// size) gather instead of an O(all paths) copy. Since the sharding
-// refactor a view no longer knows (or cares) which store it came from:
-// it binds a sanitize::PathColumns (seven raw pointers) that may address
-// a whole PathStore or one shard of a ShardedPathStore. Shard-backed
-// views can additionally BORROW the shard's precomputed index list, so
-// constructing one allocates nothing at all.
+// size) gather instead of an O(all paths) copy. A view does not know (or
+// care) which storage it came from: it binds a sanitize::PathColumns
+// (seven raw pointers), usually one shard of a ShardedPathStore.
+// Shard-backed views can additionally BORROW the shard's precomputed
+// index list, so constructing one allocates nothing at all.
 //
 // Lifetime: a view borrows its columns (and, when borrowed, its index
-// list) — the owning store/shard must outlive it — unless it was built
-// standalone via from_paths(), in which case it owns a private store.
+// list) — the owning shard must outlive it — unless it was built
+// standalone via from_paths(), in which case it owns private columns.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +30,6 @@
 
 namespace georank::core {
 
-class PathStore;
-
 enum class ViewKind { kNational, kInternational, kOutbound };
 
 class CountryView {
@@ -42,8 +39,8 @@ class CountryView {
 
   CountryView() = default;
 
-  /// Borrowing view over any columnar storage (a whole PathStore or one
-  /// shard): `cols`' backing store must outlive this view (and every
+  /// Borrowing view over any columnar storage (usually one shard):
+  /// `cols`' backing store must outlive this view (and every
   /// view derived from it via restricted_to/without_vp). `indices` are
   /// ascending row indices into `cols`.
   CountryView(const sanitize::PathColumns& cols,
@@ -58,17 +55,13 @@ class CountryView {
               std::span<const std::uint32_t> indices, geo::CountryCode country,
               ViewKind kind);
 
-  /// Borrowing view over a whole store (compatibility shorthand for
-  /// {store.columns(), ...}).
-  CountryView(const PathStore& store, std::vector<std::uint32_t> indices,
-              geo::CountryCode country, ViewKind kind);
-
-  /// Standalone view owning a private store built from `paths` — the
-  /// compatibility path for hand-built fixtures and span-based
-  /// ViewBuilder calls. Copies exactly once, at construction.
+  /// Standalone view owning private columns built from `paths` — the
+  /// path for hand-built fixtures and span-based ViewBuilder calls. Each
+  /// row gets its own arena slice (no interning: no rank kernel keys on
+  /// PathHandle). Copies exactly once, at construction.
   [[nodiscard]] static CountryView from_paths(
-      std::vector<sanitize::SanitizedPath> paths, geo::CountryCode country,
-      ViewKind kind);
+      const std::vector<sanitize::SanitizedPath>& paths,
+      geo::CountryCode country, ViewKind kind);
 
   [[nodiscard]] std::size_t size() const noexcept { return indices_.size(); }
   [[nodiscard]] bool empty() const noexcept { return indices_.empty(); }
@@ -102,17 +95,17 @@ class CountryView {
   }
 
  private:
-  CountryView(std::shared_ptr<const PathStore> owned,
-              std::vector<std::uint32_t> indices, geo::CountryCode country,
-              ViewKind kind);
+  /// A standalone view's private column set (defined in views.cpp).
+  struct OwnedRows;
+
   void rebind() noexcept;
 
-  /// Columns of whichever store/shard backs this view (all null for a
+  /// Columns of whichever storage backs this view (all null for a
   /// default-constructed empty view).
   sanitize::PathColumns cols_{};
-  /// Set only for standalone views; keeps the private store alive across
-  /// copies and derived subsets.
-  std::shared_ptr<const PathStore> owned_;
+  /// Set only for standalone views; keeps the private columns alive
+  /// across copies and derived subsets.
+  std::shared_ptr<const OwnedRows> owned_;
   /// Owned index storage — empty when the index list is borrowed.
   std::vector<std::uint32_t> indices_storage_;
   /// The active selection: points at indices_storage_ when owned, at the
@@ -134,10 +127,10 @@ class CountryView {
 class ViewBuilder {
  public:
   // Span-based builders: filter `all` and copy the matching paths into a
-  // standalone view (one pass, one copy). Kept for call sites that have
-  // no PathStore; the zero-copy equivalents live on PathStore /
-  // ShardedPathStore themselves (national_view/international_view/
-  // outbound_view).
+  // standalone view (one pass, one copy). A linear filter that shares no
+  // code with ShardedPathStore, which makes it the reference oracle the
+  // store's zero-copy views (national_view/international_view/
+  // outbound_view) are tested against.
   [[nodiscard]] static CountryView national(
       std::span<const sanitize::SanitizedPath> all, geo::CountryCode country);
 

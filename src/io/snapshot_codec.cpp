@@ -139,12 +139,12 @@ rank::Ranking read_ranking(SectionReader& in) {
   return rank::Ranking::from_scores(std::move(scores));
 }
 
-robust::ConfidenceTier read_tier(SectionReader& in) {
+core::ConfidenceTier read_tier(SectionReader& in) {
   std::uint8_t raw = in.u8();
-  if (raw > static_cast<std::uint8_t>(robust::ConfidenceTier::kInsufficient)) {
+  if (raw > static_cast<std::uint8_t>(core::ConfidenceTier::kInsufficient)) {
     in.fail("confidence tier " + std::to_string(raw) + " out of range");
   }
-  return static_cast<robust::ConfidenceTier>(raw);
+  return static_cast<core::ConfidenceTier>(raw);
 }
 
 geo::CountryCode read_country(SectionReader& in) {
@@ -240,7 +240,7 @@ std::string encode_health(const robust::HealthReport& health) {
   put_f64(out, health.ingest_drop_rate);
   put_f64(out, health.sanitize_drop_rate);
   put_u64(out, health.countries.size());
-  for (const robust::CountryHealth& h : health.countries) {
+  for (const core::CountryHealth& h : health.countries) {
     put_u16(out, h.country.raw());
     put_u8(out, static_cast<std::uint8_t>(h.national_tier));
     put_u8(out, static_cast<std::uint8_t>(h.international_tier));
@@ -265,7 +265,7 @@ void decode_health(std::string_view bytes, robust::HealthReport& health) {
   std::uint64_t n = in.count(54);  // bytes per country record
   health.countries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    robust::CountryHealth h;
+    core::CountryHealth h;
     h.country = read_country(in);
     h.national_tier = read_tier(in);
     h.international_tier = read_tier(in);

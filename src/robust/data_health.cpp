@@ -22,27 +22,27 @@ struct Accumulator {
 
 }  // namespace
 
-const CountryHealth* HealthReport::find(geo::CountryCode country) const {
+const core::CountryHealth* HealthReport::find(geo::CountryCode country) const {
   auto it = std::lower_bound(
       countries.begin(), countries.end(), country,
-      [](const CountryHealth& h, geo::CountryCode cc) { return h.country < cc; });
+      [](const core::CountryHealth& h, geo::CountryCode cc) { return h.country < cc; });
   if (it == countries.end() || it->country != country) return nullptr;
   return &*it;
 }
 
-ConfidenceTier HealthReport::tier_of(geo::CountryCode country) const {
-  const CountryHealth* h = find(country);
-  return h ? h->overall : ConfidenceTier::kInsufficient;
+core::ConfidenceTier HealthReport::tier_of(geo::CountryCode country) const {
+  const core::CountryHealth* h = find(country);
+  return h ? h->overall : core::ConfidenceTier::kInsufficient;
 }
 
-std::size_t HealthReport::count(ConfidenceTier tier) const {
+std::size_t HealthReport::count(core::ConfidenceTier tier) const {
   return static_cast<std::size_t>(
       std::count_if(countries.begin(), countries.end(),
-                    [&](const CountryHealth& h) { return h.overall == tier; }));
+                    [&](const core::CountryHealth& h) { return h.overall == tier; }));
 }
 
 HealthReport compute_health(const HealthInputs& inputs,
-                            const DegradationPolicy& policy) {
+                            const core::DegradationPolicy& policy) {
   std::unordered_map<geo::CountryCode, Accumulator, geo::CountryCodeHash> acc;
 
   // VP coverage and accepted address weight, from the sanitized paths.
@@ -82,7 +82,7 @@ HealthReport compute_health(const HealthInputs& inputs,
   // lint: ordered(report.countries is sorted by country just below)
   for (const auto& [country, a] : acc) {
     if (!country.valid()) continue;
-    CountryHealth h;
+    core::CountryHealth h;
     h.country = country;
     h.national_vps = a.national_vps.size();
     h.international_vps = a.international_vps.size();
@@ -99,7 +99,7 @@ HealthReport compute_health(const HealthInputs& inputs,
     report.countries.push_back(h);
   }
   std::sort(report.countries.begin(), report.countries.end(),
-            [](const CountryHealth& x, const CountryHealth& y) {
+            [](const core::CountryHealth& x, const core::CountryHealth& y) {
               return x.country < y.country;
             });
 
@@ -117,7 +117,7 @@ HealthReport compute_health(const HealthInputs& inputs,
 
 HealthReport compute_health(const core::ShardedPathStore& store,
                             const HealthInputs& aux,
-                            const DegradationPolicy& policy) {
+                            const core::DegradationPolicy& policy) {
   // Attributed rejections, pre-indexed so the parallel workers only do
   // read-side lookups.
   struct Rejection {
@@ -165,7 +165,7 @@ HealthReport compute_health(const core::ShardedPathStore& store,
     report.countries.push_back(health_of(country));
   }
   std::sort(report.countries.begin(), report.countries.end(),
-            [](const CountryHealth& x, const CountryHealth& y) {
+            [](const core::CountryHealth& x, const core::CountryHealth& y) {
               return x.country < y.country;
             });
 
@@ -182,9 +182,9 @@ HealthReport compute_health(const core::ShardedPathStore& store,
 }
 
 HealthReport compute_health(const core::Pipeline& pipeline,
-                            const DegradationPolicy& policy) {
+                            const core::DegradationPolicy& policy) {
   const sanitize::SanitizeResult& sanitized = pipeline.sanitized();
-  const DegradationPolicy& configured = pipeline.config().degradation;
+  const core::DegradationPolicy& configured = pipeline.config().degradation;
   if (policy.min_vps != configured.min_vps ||
       policy.min_geo_consensus != configured.min_geo_consensus) {
     // A caller-supplied policy can't reuse the pipeline's memo (entries
@@ -214,7 +214,7 @@ HealthReport compute_health(const core::Pipeline& pipeline,
     report.countries.push_back(pipeline.country_health(country));
   }
   std::sort(report.countries.begin(), report.countries.end(),
-            [](const CountryHealth& x, const CountryHealth& y) {
+            [](const core::CountryHealth& x, const core::CountryHealth& y) {
               return x.country < y.country;
             });
 

@@ -5,7 +5,7 @@
 // geolocated cleanly, how much failed consensus (geo::PrefixGeolocator
 // rejections attributed to their plurality country), and what the
 // ingest + sanitize layers dropped globally — and folded into a
-// ConfidenceTier by a DegradationPolicy. The pipeline annotates metrics
+// core::ConfidenceTier by a core::DegradationPolicy. The pipeline annotates metrics
 // with the same tiers; this module produces the full audit record the
 // `georank health` command renders.
 //
@@ -22,7 +22,7 @@
 #include "core/country_health.hpp"
 #include "geo/country.hpp"
 #include "geo/prefix_geolocator.hpp"
-#include "robust/confidence.hpp"
+#include "core/confidence.hpp"
 #include "sanitize/path_sanitizer.hpp"
 
 namespace georank::core {
@@ -32,8 +32,8 @@ class ShardedPathStore;
 
 namespace georank::robust {
 
-// CountryHealth itself lives in core/country_health.hpp (the pipeline
-// memoizes one per shard); `robust::CountryHealth` still names it.
+// core::CountryHealth itself lives in core/country_health.hpp (the pipeline
+// memoizes one per shard); `core::CountryHealth` still names it.
 
 /// Everything compute_health() can draw on. Only `paths` is mandatory;
 /// absent evidence is simply not counted (geo consensus then reads 1.0).
@@ -56,24 +56,24 @@ struct HealthReport {
   /// Sorted by country code ascending; every country with at least one
   /// geolocated prefix OR at least one attributed no-consensus
   /// rejection appears.
-  std::vector<CountryHealth> countries;
-  DegradationPolicy policy;
+  std::vector<core::CountryHealth> countries;
+  core::DegradationPolicy policy;
 
   // Global drop attribution, in [0,1] of the respective layer's input.
   double ingest_drop_rate = 0.0;    // malformed lines / lines
   double sanitize_drop_rate = 0.0;  // rejected entries / total entries
 
-  [[nodiscard]] const CountryHealth* find(geo::CountryCode country) const;
+  [[nodiscard]] const core::CountryHealth* find(geo::CountryCode country) const;
   /// Tier of a country; a country ABSENT from the report has, by
   /// definition, no usable evidence -> kInsufficient.
-  [[nodiscard]] ConfidenceTier tier_of(geo::CountryCode country) const;
-  [[nodiscard]] std::size_t count(ConfidenceTier tier) const;
+  [[nodiscard]] core::ConfidenceTier tier_of(geo::CountryCode country) const;
+  [[nodiscard]] std::size_t count(core::ConfidenceTier tier) const;
 };
 
 /// Builds the health report from raw evidence. Deterministic: the output
 /// depends only on the inputs and the policy.
 [[nodiscard]] HealthReport compute_health(const HealthInputs& inputs,
-                                          const DegradationPolicy& policy = {});
+                                          const core::DegradationPolicy& policy = {});
 
 /// Shard-parallel equivalent over a prebuilt ShardedPathStore: one
 /// worker per country shard (largest first), so health accounting for
@@ -83,7 +83,7 @@ struct HealthReport {
 /// the span overload run over the store's source paths.
 [[nodiscard]] HealthReport compute_health(const core::ShardedPathStore& store,
                                           const HealthInputs& aux,
-                                          const DegradationPolicy& policy = {});
+                                          const core::DegradationPolicy& policy = {});
 
 /// Convenience overload over a loaded pipeline (throws std::logic_error
 /// like any other pipeline query when nothing is loaded). Uses the
@@ -94,6 +94,6 @@ struct HealthReport {
 /// — the live pipeline republish leans on this); otherwise it routes
 /// through the shard-parallel path above. Both produce identical output.
 [[nodiscard]] HealthReport compute_health(const core::Pipeline& pipeline,
-                                          const DegradationPolicy& policy = {});
+                                          const core::DegradationPolicy& policy = {});
 
 }  // namespace georank::robust

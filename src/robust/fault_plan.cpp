@@ -7,8 +7,8 @@
 #include <unordered_set>
 
 #include "core/ndcg.hpp"
-#include "core/path_store.hpp"
 #include "core/pipeline.hpp"
+#include "core/sharded_path_store.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 
@@ -193,7 +193,8 @@ RobustnessReport RobustnessHarness::run(
           break;
       }
       PerturbationResult perturbed = perturb(clean, spec);
-      core::PathStore store{perturbed.paths};
+      // One build thread: this job already runs on a parallel_for worker.
+      const core::ShardedPathStore store{perturbed.paths, 1};
       for (std::size_t c = 0; c < domain.size(); ++c) {
         core::CountryMetrics m = rankings.compute(store, domain[c]);
         std::array<double, 4> scores{

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "geo/country.hpp"
-#include "robust/confidence.hpp"
+#include "core/confidence.hpp"
 #include "sanitize/path_sanitizer.hpp"
 
 namespace georank::core {

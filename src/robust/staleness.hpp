@@ -5,7 +5,7 @@
 // real VP feeds gap and flap routinely — so a query service fed by a
 // live stream must tell consumers when its view has stopped advancing
 // rather than serve ever-staler rankings as if they were fresh. This is
-// the same never-fabricate principle robust::ConfidenceTier applies to
+// the same never-fabricate principle core::ConfidenceTier applies to
 // geo consensus, lifted from data quality to *process* health.
 //
 // Like confidence.hpp this header is deliberately DEPENDENCY-FREE

@@ -7,7 +7,8 @@
 //   * row form:     a span of SanitizedPath structs (the sanitizer's
 //                   output, and any test fixture built by hand);
 //   * column form:  parallel columns plus AS-path handles into a shared
-//                   interned arena (core::PathStore's layout).
+//                   interned arena (a core::ShardedPathStore shard's
+//                   layout).
 //
 // Either form may additionally be composed with an index list, which is
 // how country views select their subset without copying a single path.

@@ -151,8 +151,8 @@ std::string render_text(const Report& report) {
     }
     if (shift.confidence_before != shift.confidence_after) {
       out += "  confidence " +
-             std::string{robust::to_string(shift.confidence_before)} + " -> " +
-             std::string{robust::to_string(shift.confidence_after)};
+             std::string{core::to_string(shift.confidence_before)} + " -> " +
+             std::string{core::to_string(shift.confidence_after)};
     }
     out += "\n";
     for (core::TimelineMetric metric : kMetrics) {

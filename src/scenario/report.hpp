@@ -28,8 +28,8 @@ struct CountryShift {
   /// (it cannot today, but the shape allows it).
   bool in_baseline = true;
   bool in_counterfactual = true;
-  robust::ConfidenceTier confidence_before = robust::ConfidenceTier::kHigh;
-  robust::ConfidenceTier confidence_after = robust::ConfidenceTier::kHigh;
+  core::ConfidenceTier confidence_before = core::ConfidenceTier::kHigh;
+  core::ConfidenceTier confidence_after = core::ConfidenceTier::kHigh;
   core::RankDelta cci, ccn, ahi, ahn;
 
   [[nodiscard]] const core::RankDelta& delta(core::TimelineMetric metric) const;

@@ -69,6 +69,36 @@ Response error_response(int status, std::string_view message) {
   return Response{status, "application/json", w.take()};
 }
 
+/// Reads the required `country` parameter into `country`; returns the
+/// 400 to answer with when it is missing or not a country code.
+std::optional<Response> parse_country(const Query& query,
+                                      geo::CountryCode& country) {
+  const std::string* text = query.find("country");
+  if (text == nullptr) return error_response(400, "missing country parameter");
+  auto parsed = geo::CountryCode::parse(*text);
+  if (!parsed) return error_response(400, "bad country code '" + *text + "'");
+  country = *parsed;
+  return std::nullopt;
+}
+
+/// Reads the optional top-k parameter, `key` taking precedence over
+/// `alias`, into `top_k` clamped to `max_top_k` (`top_k` keeps its
+/// default when neither is given); returns the 400, naming `key`, when
+/// the value is not a positive integer.
+std::optional<Response> parse_top_k(const Query& query, std::string_view key,
+                                    std::string_view alias,
+                                    std::size_t max_top_k, std::size_t& top_k) {
+  const std::string* text = query.find(key);
+  if (text == nullptr) text = query.find(alias);
+  if (text == nullptr) return std::nullopt;
+  auto k = util::parse_int<std::size_t>(*text);
+  if (!k || *k == 0) {
+    return error_response(400, "bad " + std::string(key) + " '" + *text + "'");
+  }
+  top_k = std::min(*k, max_top_k);
+  return std::nullopt;
+}
+
 constexpr Metric kAllMetrics[] = {Metric::kCci, Metric::kCcn, Metric::kAhi,
                                   Metric::kAhn};
 
@@ -95,10 +125,9 @@ void write_optional_rank(JsonWriter& w, const std::optional<std::size_t>& rank) 
   }
 }
 
-/// Same shape as /v1/delta's delta block, so the two endpoints read
-/// alike.
-void write_rank_delta(JsonWriter& w, const core::RankDelta& delta) {
-  w.begin_object();
+/// A delta's fields, written into the object the caller has open:
+/// /v1/delta's body and each what-if metric block share them.
+void write_rank_delta_fields(JsonWriter& w, const core::RankDelta& delta) {
   w.key("shifts").begin_array();
   for (const core::RankShift& shift : delta.shifts) {
     w.begin_object();
@@ -127,7 +156,6 @@ void write_rank_delta(JsonWriter& w, const core::RankDelta& delta) {
   write_asns(delta.exits());
   w.key("max_movement").value(static_cast<std::int64_t>(delta.max_movement()));
   w.key("agreement").value(delta.agreement());
-  w.end_object();
 }
 
 }  // namespace
@@ -243,12 +271,12 @@ Response RankingService::handle(std::string_view method,
                                 std::string_view target,
                                 std::string_view body) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  std::string_view path = target.substr(0, target.find('?'));
+  const std::size_t qmark = target.find('?');
+  std::string_view path = target.substr(0, qmark);
   while (path.size() > 1 && path.back() == '/') path.remove_suffix(1);
-  std::string_view query;
-  if (std::size_t qmark = target.find('?'); qmark != std::string_view::npos) {
-    query = target.substr(qmark + 1);
-  }
+  const std::string_view query = qmark == std::string_view::npos
+                                     ? std::string_view{}
+                                     : target.substr(qmark + 1);
 
   Response response;
   if (path == "/v1/whatif") {
@@ -258,7 +286,7 @@ Response RankingService::handle(std::string_view method,
   } else if (method == "POST") {
     response = error_response(405, "POST is only served on /v1/whatif");
   } else {
-    response = route(target);
+    response = route(target, path, query);
   }
   if (response.status >= 500) {
     status_5xx_.fetch_add(1, std::memory_order_relaxed);
@@ -270,15 +298,8 @@ Response RankingService::handle(std::string_view method,
   return response;
 }
 
-Response RankingService::route(std::string_view target) {
-  std::string_view path = target;
-  std::string_view query;
-  if (std::size_t qmark = target.find('?'); qmark != std::string_view::npos) {
-    path = target.substr(0, qmark);
-    query = target.substr(qmark + 1);
-  }
-  while (path.size() > 1 && path.back() == '/') path.remove_suffix(1);
-
+Response RankingService::route(std::string_view target, std::string_view path,
+                               std::string_view query) {
   if (path == "/metrics") {
     return Response{200, "text/plain; version=0.0.4", metrics_text()};
   }
@@ -357,14 +378,8 @@ Response RankingService::render_index(const Snapshot* snapshot) const {
 Response RankingService::render_rankings(const Snapshot& snapshot,
                                          std::string_view query_text) const {
   Query query = parse_query(query_text);
-  const std::string* country_text = query.find("country");
-  if (country_text == nullptr) {
-    return error_response(400, "missing country parameter");
-  }
-  auto country = geo::CountryCode::parse(*country_text);
-  if (!country) {
-    return error_response(400, "bad country code '" + *country_text + "'");
-  }
+  geo::CountryCode country;
+  if (auto error = parse_country(query, country)) return std::move(*error);
 
   std::optional<Metric> only_metric;
   if (const std::string* metric_text = query.find("metric")) {
@@ -376,25 +391,21 @@ Response RankingService::render_rankings(const Snapshot& snapshot,
   }
 
   std::size_t top_k = options_.default_top_k;
-  const std::string* k_text = query.find("k");
-  if (k_text == nullptr) k_text = query.find("top");
-  if (k_text != nullptr) {
-    auto k = util::parse_int<std::size_t>(*k_text);
-    if (!k || *k == 0) return error_response(400, "bad k '" + *k_text + "'");
-    top_k = std::min(*k, options_.max_top_k);
+  if (auto error = parse_top_k(query, "k", "top", options_.max_top_k, top_k)) {
+    return std::move(*error);
   }
 
-  const core::CountryMetrics* metrics = snapshot.find(*country);
+  const core::CountryMetrics* metrics = snapshot.find(country);
   if (metrics == nullptr) {
     return error_response(404,
-                          "no rankings for country " + country->to_string());
+                          "no rankings for country " + country.to_string());
   }
 
   JsonWriter w;
   w.begin_object();
   w.key("snapshot_id").value(snapshot.meta.id);
-  w.key("country").value(country->to_string());
-  w.key("confidence").value(robust::to_string(metrics->confidence));
+  w.key("country").value(country.to_string());
+  w.key("confidence").value(core::to_string(metrics->confidence));
   w.key("geo_consensus").value(metrics->geo_consensus);
   w.key("national_vps").value(static_cast<std::uint64_t>(metrics->national_vps));
   w.key("international_vps")
@@ -434,7 +445,7 @@ Response RankingService::render_as_lookup(const Snapshot& snapshot,
     if (!any) continue;
     w.begin_object();
     w.key("country").value(metrics.country.to_string());
-    w.key("confidence").value(robust::to_string(metrics.confidence));
+    w.key("confidence").value(core::to_string(metrics.confidence));
     w.key("metrics").begin_array();
     for (Metric metric : kAllMetrics) {
       const rank::Ranking& ranking = ranking_of(metrics, metric);
@@ -485,14 +496,14 @@ Response RankingService::render_health(const Snapshot& snapshot) const {
   w.key("sanitize_drop_rate").value(health.sanitize_drop_rate);
   w.key("tiers").begin_object();
   w.key("high").value(
-      static_cast<std::uint64_t>(health.count(robust::ConfidenceTier::kHigh)));
+      static_cast<std::uint64_t>(health.count(core::ConfidenceTier::kHigh)));
   w.key("degraded").value(static_cast<std::uint64_t>(
-      health.count(robust::ConfidenceTier::kDegraded)));
+      health.count(core::ConfidenceTier::kDegraded)));
   w.key("insufficient").value(static_cast<std::uint64_t>(
-      health.count(robust::ConfidenceTier::kInsufficient)));
+      health.count(core::ConfidenceTier::kInsufficient)));
   w.end_object();
   w.key("countries").begin_array();
-  for (const robust::CountryHealth& h : health.countries) {
+  for (const core::CountryHealth& h : health.countries) {
     w.begin_object();
     w.key("country").value(h.country.to_string());
     w.key("national_vps").value(static_cast<std::uint64_t>(h.national_vps));
@@ -505,10 +516,10 @@ Response RankingService::render_health(const Snapshot& snapshot) const {
         .value(static_cast<std::uint64_t>(h.no_consensus_prefixes));
     w.key("no_consensus_addresses").value(h.no_consensus_addresses);
     w.key("geo_consensus").value(h.geo_consensus());
-    w.key("national").value(robust::to_string(h.national_tier));
-    w.key("international").value(robust::to_string(h.international_tier));
-    w.key("geo").value(robust::to_string(h.geo_tier));
-    w.key("overall").value(robust::to_string(h.overall));
+    w.key("national").value(core::to_string(h.national_tier));
+    w.key("international").value(core::to_string(h.international_tier));
+    w.key("geo").value(core::to_string(h.geo_tier));
+    w.key("overall").value(core::to_string(h.overall));
     w.end_object();
   }
   w.end_array();
@@ -518,14 +529,8 @@ Response RankingService::render_health(const Snapshot& snapshot) const {
 
 Response RankingService::render_delta(std::string_view query_text) {
   Query query = parse_query(query_text);
-  const std::string* country_text = query.find("country");
-  if (country_text == nullptr) {
-    return error_response(400, "missing country parameter");
-  }
-  auto country = geo::CountryCode::parse(*country_text);
-  if (!country) {
-    return error_response(400, "bad country code '" + *country_text + "'");
-  }
+  geo::CountryCode country;
+  if (auto error = parse_country(query, country)) return std::move(*error);
   Metric metric = Metric::kCci;
   if (const std::string* metric_text = query.find("metric")) {
     auto parsed = parse_metric(*metric_text);
@@ -536,59 +541,25 @@ Response RankingService::render_delta(std::string_view query_text) {
     metric = *parsed;
   }
   std::size_t top_k = options_.default_top_k;
-  const std::string* top_text = query.find("top");
-  if (top_text == nullptr) top_text = query.find("k");
-  if (top_text != nullptr) {
-    auto k = util::parse_int<std::size_t>(*top_text);
-    if (!k || *k == 0) {
-      return error_response(400, "bad top '" + *top_text + "'");
-    }
-    top_k = std::min(*k, options_.max_top_k);
+  if (auto error = parse_top_k(query, "top", "k", options_.max_top_k, top_k)) {
+    return std::move(*error);
   }
 
-  std::optional<DeltaResult> result = delta(*country, metric, top_k);
+  std::optional<DeltaResult> result = delta(country, metric, top_k);
   if (!result) {
     return error_response(404, "no rankings for country " +
-                                   country->to_string() +
+                                   country.to_string() +
                                    " in any retained snapshot");
   }
 
   JsonWriter w;
   w.begin_object();
-  w.key("country").value(country->to_string());
+  w.key("country").value(country.to_string());
   w.key("metric").value(to_string(metric));
   w.key("top").value(static_cast<std::uint64_t>(top_k));
   w.key("before_snapshot_id").value(result->before_id);
   w.key("after_snapshot_id").value(result->after_id);
-  w.key("shifts").begin_array();
-  for (const core::RankShift& shift : result->delta.shifts) {
-    w.begin_object();
-    w.key("asn").value(static_cast<std::uint64_t>(shift.asn));
-    w.key("before_rank");
-    write_optional_rank(w, shift.before_rank);
-    w.key("after_rank");
-    write_optional_rank(w, shift.after_rank);
-    w.key("before_score").value(shift.before_score);
-    w.key("after_score").value(shift.after_score);
-    w.key("rank_change").value(static_cast<std::int64_t>(shift.rank_change()));
-    w.key("score_change").value(shift.score_change());
-    w.key("entered").value(shift.entered());
-    w.key("left").value(shift.left());
-    w.end_object();
-  }
-  w.end_array();
-  auto write_asns = [&w](const std::vector<bgp::Asn>& asns) {
-    w.begin_array();
-    for (bgp::Asn asn : asns) w.value(static_cast<std::uint64_t>(asn));
-    w.end_array();
-  };
-  w.key("entries");
-  write_asns(result->delta.entries());
-  w.key("exits");
-  write_asns(result->delta.exits());
-  w.key("max_movement")
-      .value(static_cast<std::int64_t>(result->delta.max_movement()));
-  w.key("agreement").value(result->delta.agreement());
+  write_rank_delta_fields(w, result->delta);
   w.end_object();
   return Response{200, "application/json", w.take()};
 }
@@ -607,14 +578,8 @@ Response RankingService::render_whatif(std::string_view query_text,
 
   Query query = parse_query(query_text);
   std::size_t top_k = options_.default_top_k;
-  const std::string* top_text = query.find("top");
-  if (top_text == nullptr) top_text = query.find("k");
-  if (top_text != nullptr) {
-    auto k = util::parse_int<std::size_t>(*top_text);
-    if (!k || *k == 0) {
-      return error_response(400, "bad top '" + *top_text + "'");
-    }
-    top_k = std::min(*k, options_.max_top_k);
+  if (auto error = parse_top_k(query, "top", "k", options_.max_top_k, top_k)) {
+    return std::move(*error);
   }
 
   scenario::Scenario parsed;
@@ -694,11 +659,12 @@ std::string render_whatif_json(const scenario::Report& report,
     w.key("country").value(shift.country.to_string());
     w.key("in_baseline").value(shift.in_baseline);
     w.key("in_counterfactual").value(shift.in_counterfactual);
-    w.key("confidence_before").value(robust::to_string(shift.confidence_before));
-    w.key("confidence_after").value(robust::to_string(shift.confidence_after));
+    w.key("confidence_before").value(core::to_string(shift.confidence_before));
+    w.key("confidence_after").value(core::to_string(shift.confidence_after));
     for (Metric metric : kAllMetrics) {
-      w.key(to_string(metric));
-      write_rank_delta(w, shift.delta(metric));
+      w.key(to_string(metric)).begin_object();
+      write_rank_delta_fields(w, shift.delta(metric));
+      w.end_object();
     }
     w.end_object();
   }

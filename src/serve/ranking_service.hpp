@@ -230,7 +230,11 @@ class RankingService {
   };
   [[nodiscard]] HistoryPair latest_pair();
 
-  [[nodiscard]] Response route(std::string_view target);
+  /// Serves a GET. `path` (trailing slashes stripped) and `query` are
+  /// the halves handle() split `target` into; the raw `target` keys the
+  /// response cache.
+  [[nodiscard]] Response route(std::string_view target, std::string_view path,
+                               std::string_view query);
   [[nodiscard]] Response render_whatif(std::string_view query,
                                        std::string_view body);
   [[nodiscard]] Response render_index(const Snapshot* snapshot) const;

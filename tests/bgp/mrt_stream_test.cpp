@@ -35,25 +35,54 @@ void expect_invariant(const MrtParseStats& s) {
                              s.day_out_of_range);
 }
 
-// ---- Tentpole acceptance: parallel chunked load == sequential reader. ----
+void expect_same_stats(const MrtParseStats& a, const MrtParseStats& b) {
+  EXPECT_EQ(a.lines, b.lines);
+  EXPECT_EQ(a.parsed, b.parsed);
+  EXPECT_EQ(a.malformed, b.malformed);
+  EXPECT_EQ(a.skipped_comments, b.skipped_comments);
+  for (std::size_t r = 0; r < kParseReasonCount; ++r) {
+    const auto reason = static_cast<ParseReason>(r);
+    EXPECT_EQ(a.reason_count(reason), b.reason_count(reason))
+        << "reason: " << to_string(reason);
+  }
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    EXPECT_EQ(a.samples[i].line_number, b.samples[i].line_number);
+    EXPECT_EQ(a.samples[i].reason, b.samples[i].reason);
+    EXPECT_EQ(a.samples[i].text, b.samples[i].text);
+  }
+  EXPECT_EQ(a.bytes, b.bytes);
+}
+
+// ---- Parallel chunked load == one sequential whole-input pass. ----
 
 TEST(MrtStream, BitIdenticalToSequentialReaderAcrossChunkSizes) {
-  std::string text = to_mrt_text(generated_collection());
-  std::istringstream is{text};
-  MrtTextReader reader;
-  RibCollection expected = reader.read_collection(is);
+  // A few malformed lines and comments so the stats comparison covers
+  // the per-reason counters and samples, not just `parsed`.
+  std::string text = "# header\n" + to_mrt_text(generated_collection()) +
+                     "TABLE_DUMP2|x|B|1.2.3.4|701|10.0.0.0/16|701|IGP\n"
+                     "\n"
+                     "TABLE_DUMP2|1|B|1.2.3.4|701|10.0.0.0/99|701|IGP\n";
+  MrtStreamOptions sequential;
+  sequential.threads = 1;
+  sequential.chunk_bytes = text.size();
+  MrtStreamLoader reference{sequential};
+  RibCollection expected = reference.load_text(text);
+  ASSERT_GT(expected.total_entries(), 0u);
+  ASSERT_EQ(reference.stats().malformed, 2u);
 
   for (std::size_t chunk_bytes : {std::size_t{64}, std::size_t{1024},
                                   std::size_t{1} << 20}) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("chunk_bytes " + std::to_string(chunk_bytes) +
+                   ", threads " + std::to_string(threads));
       MrtStreamOptions options;
       options.chunk_bytes = chunk_bytes;
       options.threads = threads;
       MrtStreamLoader loader{options};
       RibCollection got = loader.load_text(text);
       expect_identical(got, expected);
-      EXPECT_EQ(loader.stats().parsed, reader.stats().parsed);
-      EXPECT_EQ(loader.stats().lines, reader.stats().lines);
+      expect_same_stats(loader.stats(), reference.stats());
       EXPECT_EQ(loader.stats().bytes, text.size());
       expect_invariant(loader.stats());
     }
@@ -75,6 +104,132 @@ TEST(MrtStream, IstreamAndTextLoadsAgree) {
   EXPECT_EQ(stream_loader.stats().lines, text_loader.stats().lines);
   EXPECT_EQ(stream_loader.stats().bytes, text_loader.stats().bytes);
 }
+
+// ---- The text format, read through the loader. ----
+
+TEST(MrtText, LineRoundTrip) {
+  const RouteEntry sample{VpId{0xC0A80101, 701}, *Prefix::parse("10.0.0.0/16"),
+                          AsPath{701, 3356, 1299}};
+  std::ostringstream os;
+  MrtTextWriter writer{os};
+  writer.write_entry(sample, 3);
+
+  std::string line = os.str();
+  line.pop_back();  // the loader hands parse_line lines without '\n'
+  MrtParseStats stats;
+  RouteEntry entry;
+  int day = -1;
+  ASSERT_TRUE(parse_line(line, MrtStreamOptions{}, stats, entry, day));
+  EXPECT_EQ(entry, sample);
+  EXPECT_EQ(day, 3);
+  EXPECT_EQ(stats.lines, 1u);
+  EXPECT_EQ(stats.parsed, 1u);
+}
+
+TEST(MrtText, StrictModeThrowsWithLineAndReason) {
+  MrtStreamOptions options;
+  options.mode = ParseMode::kStrict;
+  MrtParseStats stats;
+  RouteEntry entry;
+  int day = 0;
+  EXPECT_TRUE(parse_line("TABLE_DUMP2|1617235200|B|1.2.3.4|701|10.0.0.0/16|701|IGP",
+                         options, stats, entry, day));
+  try {
+    (void)parse_line("TABLE_DUMP2|x|B|1.2.3.4|701|10.0.0.0/16|701|IGP",
+                     options, stats, entry, day);
+    FAIL() << "strict parse accepted a bad timestamp";
+  } catch (const MrtParseError& e) {
+    EXPECT_EQ(e.line_number(), 2u);
+    EXPECT_EQ(e.reason(), ParseReason::kBadTimestamp);
+  }
+}
+
+TEST(MrtText, RejectsTimestampBeforeBaseAsDayOutOfRange) {
+  // Regression: (ts - base_time) is computed in uint64; an earlier
+  // timestamp used to wrap to a huge bogus day instead of being dropped.
+  MrtParseStats stats;
+  RouteEntry entry;
+  int day = -1;
+  EXPECT_FALSE(parse_line("TABLE_DUMP2|1617235199|B|1.2.3.4|701|10.0.0.0/16|701|IGP",
+                          MrtStreamOptions{}, stats, entry, day));
+  EXPECT_EQ(stats.day_out_of_range, 1u);
+  EXPECT_EQ(stats.parsed, 0u);
+}
+
+TEST(MrtText, FlattensAsSetAndCountsIt) {
+  MrtParseStats stats;
+  RouteEntry entry;
+  int day = -1;
+  ASSERT_TRUE(parse_line(
+      "TABLE_DUMP2|1617235200|B|1.2.3.4|701|10.0.0.0/16|701 {64512,64513}|IGP",
+      MrtStreamOptions{}, stats, entry, day));
+  EXPECT_EQ(stats.as_set, 1u);
+  EXPECT_EQ(stats.parsed, 1u);  // informational: the line still parses
+  EXPECT_EQ(stats.malformed, 0u);
+  EXPECT_TRUE(entry.path.has_as_set());
+  EXPECT_EQ(entry.path.to_string(), "701 64512 64513");
+  EXPECT_EQ(day, 0);
+}
+
+TEST(MrtText, SkipsCommentsAndBlanks) {
+  std::string text =
+      "# a comment\n"
+      "\n"
+      "TABLE_DUMP2|1617235200|B|1.2.3.4|701|10.0.0.0/16|701 1299|IGP\n";
+  MrtStreamLoader loader;
+  RibCollection out = loader.load_text(text);
+  EXPECT_EQ(out.total_entries(), 1u);
+  EXPECT_EQ(loader.stats().skipped_comments, 2u);
+  EXPECT_EQ(loader.stats().malformed, 0u);
+}
+
+// Hand-written faults the injection corpus never produces: a wrong
+// record type and an AS0 peer, beside one line per other reason.
+TEST(MrtText, CountsMalformedLines) {
+  std::string text =
+      "TABLE_DUMP2|x|B|1.2.3.4|701|10.0.0.0/16|701|IGP\n"   // bad timestamp
+      "TABLE_DUMP2|1|B|999.2.3.4|701|10.0.0.0/16|701|IGP\n"  // bad ip
+      "TABLE_DUMP2|1|B|1.2.3.4|zzz|10.0.0.0/16|701|IGP\n"    // bad asn
+      "TABLE_DUMP2|1|B|1.2.3.4|701|10.0.0.0/99|701|IGP\n"    // bad prefix
+      "TABLE_DUMP2|1|B|1.2.3.4|701|10.0.0.0/16|70x|IGP\n"    // bad path
+      "TABLE_DUMP2|1|B|1.2.3.4|701|10.0.0.0/16||IGP\n"       // empty path
+      "TABLE_DUMP2|1|B|1.2.3.4|0|10.0.0.0/16|701|IGP\n"      // AS0 VP
+      "BGP4MP|1|A|1.2.3.4|701|10.0.0.0/16|701|IGP\n"         // wrong type
+      "TABLE_DUMP2|1|B|1.2.3.4|701|10.0.0.0/16|701\n";       // missing field
+  MrtStreamLoader loader;
+  RibCollection out = loader.load_text(text);
+  const MrtParseStats& stats = loader.stats();
+  EXPECT_EQ(out.total_entries(), 0u);
+  EXPECT_EQ(stats.malformed, 9u);
+  // Each drop is attributed to a concrete reason.
+  EXPECT_EQ(stats.bad_timestamp, 1u);
+  EXPECT_EQ(stats.bad_ip, 1u);
+  EXPECT_EQ(stats.bad_asn, 2u);  // zzz + AS0
+  EXPECT_EQ(stats.bad_prefix, 1u);
+  EXPECT_EQ(stats.bad_path, 1u);
+  EXPECT_EQ(stats.empty_path, 1u);
+  EXPECT_EQ(stats.bad_record_type, 1u);
+  EXPECT_EQ(stats.bad_field_count, 1u);
+  // ... and the first offenders are retained for auditing.
+  ASSERT_EQ(stats.samples.size(), MrtParseStats::kMaxSamples);
+  EXPECT_EQ(stats.samples[0].line_number, 1u);
+  EXPECT_EQ(stats.samples[0].reason, ParseReason::kBadTimestamp);
+}
+
+TEST(MrtText, GroupsByDay) {
+  std::string text =
+      "TABLE_DUMP2|1617235200|B|1.2.3.4|701|10.0.0.0/16|701|IGP\n"
+      "TABLE_DUMP2|1617321600|B|1.2.3.4|701|10.0.0.0/16|701|IGP\n"
+      "TABLE_DUMP2|1617235200|B|1.2.3.5|702|10.1.0.0/16|702|IGP\n";
+  RibCollection out = MrtStreamLoader{}.load_text(text);
+  ASSERT_EQ(out.days.size(), 2u);
+  EXPECT_EQ(out.days[0].day, 0);
+  EXPECT_EQ(out.days[0].entries.size(), 2u);
+  EXPECT_EQ(out.days[1].day, 1);
+  EXPECT_EQ(out.days[1].entries.size(), 1u);
+}
+
+// ---- Chunking edge cases. ----
 
 TEST(MrtStream, InputWithoutTrailingNewlineParses) {
   std::string text =

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "bgp/mrt_stream.hpp"
+
 namespace georank::bgp {
 namespace {
 
@@ -21,19 +23,6 @@ TEST(MrtText, WriterFormat) {
             "TABLE_DUMP2|173800|B|192.168.1.1|701|10.0.0.0/16|701 3356 1299|IGP\n");
 }
 
-TEST(MrtText, LineRoundTrip) {
-  std::ostringstream os;
-  MrtTextWriter writer{os};
-  writer.write_entry(sample_entry(), 3);
-
-  MrtTextReader reader;
-  RouteEntry entry;
-  int day = -1;
-  ASSERT_TRUE(reader.parse_line(os.str(), entry, day));
-  EXPECT_EQ(entry, sample_entry());
-  EXPECT_EQ(day, 3);
-}
-
 TEST(MrtText, CollectionRoundTrip) {
   RibCollection in;
   in.days.resize(2);
@@ -46,110 +35,13 @@ TEST(MrtText, CollectionRoundTrip) {
     in.days[1].entries.push_back(e);
   }
   std::string text = to_mrt_text(in);
-  MrtParseStats stats;
-  RibCollection out = from_mrt_text(text, &stats);
+  MrtStreamLoader loader;
+  RibCollection out = loader.load_text(text);
   ASSERT_EQ(out.days.size(), 2u);
   EXPECT_EQ(out.days[0].entries, in.days[0].entries);
   EXPECT_EQ(out.days[1].entries, in.days[1].entries);
-  EXPECT_EQ(stats.parsed, 10u);
-  EXPECT_EQ(stats.malformed, 0u);
-}
-
-TEST(MrtText, SkipsCommentsAndBlanks) {
-  std::string text =
-      "# a comment\n"
-      "\n"
-      "TABLE_DUMP2|1617235200|B|1.2.3.4|701|10.0.0.0/16|701 1299|IGP\n";
-  MrtParseStats stats;
-  RibCollection out = from_mrt_text(text, &stats);
-  EXPECT_EQ(out.total_entries(), 1u);
-  EXPECT_EQ(stats.skipped_comments, 2u);
-  EXPECT_EQ(stats.malformed, 0u);
-}
-
-TEST(MrtText, CountsMalformedLines) {
-  std::string text =
-      "TABLE_DUMP2|x|B|1.2.3.4|701|10.0.0.0/16|701|IGP\n"   // bad timestamp
-      "TABLE_DUMP2|1|B|999.2.3.4|701|10.0.0.0/16|701|IGP\n"  // bad ip
-      "TABLE_DUMP2|1|B|1.2.3.4|zzz|10.0.0.0/16|701|IGP\n"    // bad asn
-      "TABLE_DUMP2|1|B|1.2.3.4|701|10.0.0.0/99|701|IGP\n"    // bad prefix
-      "TABLE_DUMP2|1|B|1.2.3.4|701|10.0.0.0/16|70x|IGP\n"    // bad path
-      "TABLE_DUMP2|1|B|1.2.3.4|701|10.0.0.0/16||IGP\n"       // empty path
-      "TABLE_DUMP2|1|B|1.2.3.4|0|10.0.0.0/16|701|IGP\n"      // AS0 VP
-      "BGP4MP|1|A|1.2.3.4|701|10.0.0.0/16|701|IGP\n"         // wrong type
-      "TABLE_DUMP2|1|B|1.2.3.4|701|10.0.0.0/16|701\n";       // missing field
-  MrtParseStats stats;
-  RibCollection out = from_mrt_text(text, &stats);
-  EXPECT_EQ(out.total_entries(), 0u);
-  EXPECT_EQ(stats.malformed, 9u);
-  // Each drop is attributed to a concrete reason.
-  EXPECT_EQ(stats.bad_timestamp, 1u);
-  EXPECT_EQ(stats.bad_ip, 1u);
-  EXPECT_EQ(stats.bad_asn, 2u);  // zzz + AS0
-  EXPECT_EQ(stats.bad_prefix, 1u);
-  EXPECT_EQ(stats.bad_path, 1u);
-  EXPECT_EQ(stats.empty_path, 1u);
-  EXPECT_EQ(stats.bad_record_type, 1u);
-  EXPECT_EQ(stats.bad_field_count, 1u);
-  // ... and the first offenders are retained for auditing.
-  ASSERT_EQ(stats.samples.size(), MrtParseStats::kMaxSamples);
-  EXPECT_EQ(stats.samples[0].line_number, 1u);
-  EXPECT_EQ(stats.samples[0].reason, ParseReason::kBadTimestamp);
-}
-
-TEST(MrtText, StrictModeThrowsWithLineAndReason) {
-  MrtReaderOptions options;
-  options.mode = ParseMode::kStrict;
-  MrtTextReader reader{options};
-  RouteEntry entry;
-  int day = 0;
-  EXPECT_TRUE(reader.parse_line(
-      "TABLE_DUMP2|1617235200|B|1.2.3.4|701|10.0.0.0/16|701|IGP", entry, day));
-  try {
-    (void)reader.parse_line(
-        "TABLE_DUMP2|x|B|1.2.3.4|701|10.0.0.0/16|701|IGP", entry, day);
-    FAIL() << "strict parse accepted a bad timestamp";
-  } catch (const MrtParseError& e) {
-    EXPECT_EQ(e.line_number(), 2u);
-    EXPECT_EQ(e.reason(), ParseReason::kBadTimestamp);
-  }
-}
-
-TEST(MrtText, RejectsTimestampBeforeBaseAsDayOutOfRange) {
-  // Regression: (ts - base_time) is computed in uint64; an earlier
-  // timestamp used to wrap to a huge bogus day instead of being dropped.
-  MrtParseStats stats;
-  RibCollection out = from_mrt_text(
-      "TABLE_DUMP2|1617235199|B|1.2.3.4|701|10.0.0.0/16|701|IGP\n", &stats);
-  EXPECT_EQ(out.total_entries(), 0u);
-  EXPECT_EQ(stats.day_out_of_range, 1u);
-}
-
-TEST(MrtText, FlattensAsSetAndCountsIt) {
-  MrtParseStats stats;
-  RibCollection out = from_mrt_text(
-      "TABLE_DUMP2|1617235200|B|1.2.3.4|701|10.0.0.0/16|701 {64512,64513}|IGP\n",
-      &stats);
-  ASSERT_EQ(out.total_entries(), 1u);
-  EXPECT_EQ(stats.as_set, 1u);
-  EXPECT_EQ(stats.parsed, 1u);  // informational: the line still parses
-  EXPECT_EQ(stats.malformed, 0u);
-  const RouteEntry& e = out.days[0].entries[0];
-  EXPECT_TRUE(e.path.has_as_set());
-  EXPECT_EQ(e.path.to_string(), "701 64512 64513");
-}
-
-TEST(MrtText, GroupsByDay) {
-  std::string text =
-      "TABLE_DUMP2|1617235200|B|1.2.3.4|701|10.0.0.0/16|701|IGP\n"
-      "TABLE_DUMP2|1617321600|B|1.2.3.4|701|10.0.0.0/16|701|IGP\n"
-      "TABLE_DUMP2|1617235200|B|1.2.3.5|702|10.1.0.0/16|702|IGP\n";
-  RibCollection out = from_mrt_text(text);
-  ASSERT_EQ(out.days.size(), 2u);
-  EXPECT_EQ(out.days[0].day, 0);
-  EXPECT_EQ(out.days[0].entries.size(), 2u);
-  EXPECT_EQ(out.days[1].day, 1);
-  EXPECT_EQ(out.days[1].entries.size(), 1u);
+  EXPECT_EQ(loader.stats().parsed, 10u);
+  EXPECT_EQ(loader.stats().malformed, 0u);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <thread>
 
 #include "gen/internet_generator.hpp"
@@ -290,7 +292,7 @@ TEST(Pipeline, CountryMetricsCarryConfidenceAnnotation) {
   CountryMetrics au = pipeline.country(CountryCode::of("AU"));
   // The mini world gives every country several VPs per view and clean
   // geolocation, so the paper-default policy rates it high.
-  EXPECT_EQ(au.confidence, robust::ConfidenceTier::kHigh);
+  EXPECT_EQ(au.confidence, core::ConfidenceTier::kHigh);
   EXPECT_DOUBLE_EQ(au.geo_consensus, 1.0);
   Pipeline::GeoEvidence evidence = pipeline.geo_evidence(CountryCode::of("AU"));
   EXPECT_GT(evidence.accepted, 0u);
@@ -302,7 +304,7 @@ TEST(Pipeline, CountryMetricsCarryConfidenceAnnotation) {
                      f.world.graph, strict};
   demanding.load(f.ribs);
   EXPECT_EQ(demanding.country(CountryCode::of("AU")).confidence,
-            robust::ConfidenceTier::kDegraded);
+            core::ConfidenceTier::kDegraded);
 }
 
 TEST(Pipeline, ZeroGeolocatedCountryReturnsFlaggedEmptyResult) {
@@ -319,7 +321,7 @@ TEST(Pipeline, ZeroGeolocatedCountryReturnsFlaggedEmptyResult) {
   EXPECT_TRUE(metrics.cci.empty());
   EXPECT_TRUE(metrics.ahn.empty());
   EXPECT_EQ(metrics.national_vps, 0u);
-  EXPECT_EQ(metrics.confidence, robust::ConfidenceTier::kInsufficient);
+  EXPECT_EQ(metrics.confidence, core::ConfidenceTier::kInsufficient);
   EXPECT_DOUBLE_EQ(metrics.geo_consensus, 1.0);  // nothing rejected either
 }
 
@@ -354,6 +356,36 @@ TEST(Pipeline, ConcurrentCountryQueriesRaceReloadSafely) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
   expect_bitwise_equal(baseline, pipeline.country(CountryCode::of("AU")));
+}
+
+TEST(Pipeline, LoadIsNotStarvedByBackToBackQueries) {
+  PipelineFixture f;
+  Pipeline pipeline{f.world.geo_db, f.world.vps, f.world.asn_registry,
+                    f.world.graph, f.config()};
+  pipeline.load(f.ribs);
+  (void)pipeline.country(CountryCode::of("AU"));
+
+  // Memo hits overlap back to back, so some reader always holds the
+  // shared reload lock. A reader-preferring lock would keep load() out
+  // for as long as the readers run; the writer gate must let it in.
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        (void)pipeline.country(CountryCode::of("AU"));
+      }
+    });
+  }
+  std::future<void> reloads = std::async(std::launch::async, [&] {
+    for (int i = 0; i < 3; ++i) pipeline.load(f.ribs);
+  });
+  const bool finished =
+      reloads.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  reloads.get();
+  EXPECT_TRUE(finished) << "three load() calls waited over 30 s on readers";
 }
 
 TEST(Pipeline, GlobalConeTopIsTier1) {

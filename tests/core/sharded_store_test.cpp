@@ -5,12 +5,18 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "core/country_rankings.hpp"
-#include "core/path_store.hpp"
 #include "core/views.hpp"
+#include "gen/internet_generator.hpp"
+#include "gen/rib_generator.hpp"
+#include "gen/scenarios.hpp"
+#include "sanitize/path_sanitizer.hpp"
 #include "topo/as_graph.hpp"
 
 namespace georank::core {
@@ -38,9 +44,9 @@ SanitizedPath mk(std::uint32_t vp_ip, CountryCode vp_cc, AsPath path,
   return sp;
 }
 
-/// The PathStore fixture: shared and unique paths across three
-/// countries, plus an un-geolocated VP (invalid country — its row must
-/// land only in its PREFIX country's shard).
+/// Shared and unique paths across three countries, plus an
+/// un-geolocated VP (invalid country — its row must land only in its
+/// PREFIX country's shard).
 std::vector<SanitizedPath> sample_paths() {
   return {
       mk(1, AU, AsPath{100, 50, 200}, 1, AU),
@@ -81,44 +87,247 @@ void expect_same_selection(const CountryView& a, const CountryView& b) {
   }
 }
 
-TEST(ShardedPathStore, InterningMatchesMonolithicStore) {
+/// The row of `shard` equal to `p` on every field, or nullopt.
+std::optional<sanitize::PathRecord> find_row(const PathShard& shard,
+                                             const SanitizedPath& p) {
+  const sanitize::PathsView rows{shard.columns(), shard.size()};
+  for (const sanitize::PathRecord rec : rows) {
+    if (rec.vp == p.vp && rec.vp_country == p.vp_country &&
+        rec.prefix == p.prefix && rec.prefix_country == p.prefix_country &&
+        rec.weight == p.weight && rec.path == bgp::AsPathView{p.path}) {
+      return rec;
+    }
+  }
+  return std::nullopt;
+}
+
+/// The sanitized paths of a generated mini world (seed 5): the
+/// unsharded reference input of the `...MonolithicStore` tests.
+const std::vector<SanitizedPath>& mini_world_paths() {
+  static const std::vector<SanitizedPath> paths = [] {
+    const gen::World world =
+        gen::InternetGenerator{gen::mini_world_spec(5)}.generate();
+    sanitize::SanitizerOptions options;
+    options.clique = world.clique;
+    options.route_server_asns = world.route_servers;
+    return sanitize::PathSanitizer{world.geo_db, world.vps,
+                                   world.asn_registry, options}
+        .run(gen::RibGenerator{world, gen::NoiseSpec{}, 7}.generate(5))
+        .paths;
+  }();
+  return paths;
+}
+
+// ---- PathStore: the store's own contract on the hand-made fixture. ----
+// ShardedPathStore is the one path store; these check its rows,
+// interning, buckets and views against naive filters and ViewBuilder.
+
+TEST(PathStore, RoundTripsEveryField) {
   auto paths = sample_paths();
-  PathStore mono{paths};
-  ShardedPathStore sharded{paths};
-  EXPECT_EQ(sharded.size(), mono.size());
-  EXPECT_EQ(sharded.unique_path_count(), mono.unique_path_count());
-  EXPECT_EQ(sharded.arena_hop_count(), mono.arena_hop_count());
+  ShardedPathStore store{paths};
+  ASSERT_EQ(store.size(), paths.size());
+  for (const SanitizedPath& p : paths) {
+    const PathShard* shard = store.shard(p.prefix_country);
+    ASSERT_NE(shard, nullptr);
+    auto rec = find_row(*shard, p);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->materialize().path, p.path);
+  }
+}
+
+TEST(PathStore, InterningCollapsesDuplicateHopSequences) {
+  auto paths = sample_paths();
+  ShardedPathStore store{paths};
+  // 7 rows, 5 distinct hop sequences: {100,50,200} (rows 0 and 4),
+  // {101,50,200} (rows 1 and 2), {102,60,201}, {103,60,202}, {102,60}.
+  EXPECT_EQ(store.size(), paths.size());
+  EXPECT_EQ(store.unique_path_count(), 5u);
+  EXPECT_EQ(store.arena_hop_count(), 3u + 3u + 3u + 3u + 2u);
+  EXPECT_LT(store.unique_path_count(), store.size());
+  // Rows 0 and 4 (both from AU's VP) share one handle, hence one span.
+  const PathShard* au = store.shard(AU);
+  ASSERT_NE(au, nullptr);
+  auto row0 = find_row(*au, paths[0]);
+  auto row4 = find_row(*au, paths[4]);
+  ASSERT_TRUE(row0 && row4);
+  EXPECT_EQ(row0->path.hops().data(), row4->path.hops().data());
+}
+
+TEST(PathStore, BucketsMatchNaiveFilter) {
+  auto paths = sample_paths();
+  ShardedPathStore store{paths};
+  for (CountryCode cc : {AU, US, JP}) {
+    const PathShard* shard = store.shard(cc);
+    ASSERT_NE(shard, nullptr);
+    std::vector<SanitizedPath> expect_prefix, expect_vp;
+    for (const SanitizedPath& p : paths) {
+      if (p.prefix_country == cc) expect_prefix.push_back(p);
+      if (p.vp_country == cc) expect_vp.push_back(p);
+    }
+    expect_same_selection(
+        CountryView{shard->columns(), shard->prefix_rows(), cc,
+                    ViewKind::kNational},
+        CountryView::from_paths(expect_prefix, cc, ViewKind::kNational));
+    expect_same_selection(
+        CountryView{shard->columns(), shard->vp_rows(), cc,
+                    ViewKind::kNational},
+        CountryView::from_paths(expect_vp, cc, ViewKind::kNational));
+  }
+}
+
+TEST(PathStore, CountriesSortedAndComplete) {
+  auto paths = sample_paths();
+  ShardedPathStore store{paths};
+  EXPECT_EQ(store.countries(), ViewBuilder::countries(paths));
+  ASSERT_EQ(store.vp_countries().size(), 3u);
+  EXPECT_TRUE(std::is_sorted(store.vp_countries().begin(),
+                             store.vp_countries().end()));
+}
+
+TEST(PathStore, ViewsMatchViewBuilder) {
+  auto paths = sample_paths();
+  ShardedPathStore store{paths};
+  for (CountryCode cc : {AU, US, JP}) {
+    expect_same_selection(store.national_view(cc),
+                          ViewBuilder::national(paths, cc));
+    expect_same_selection(store.international_view(cc),
+                          ViewBuilder::international(paths, cc));
+    expect_same_selection(store.outbound_view(cc),
+                          ViewBuilder::outbound(paths, cc));
+    expect_same_selection(store.view(cc, ViewKind::kOutbound),
+                          ViewBuilder::outbound(paths, cc));
+  }
+}
+
+TEST(PathStore, RestrictedToMatchesSpanBasedViews) {
+  auto paths = sample_paths();
+  ShardedPathStore store{paths};
+  std::vector<bgp::VpId> keep{bgp::VpId{2, 101}, bgp::VpId{3, 102}};
+
+  CountryView via_store = store.international_view(AU).restricted_to(keep);
+  CountryView via_spans =
+      ViewBuilder::international(paths, AU).restricted_to(keep);
+  expect_same_selection(via_store, via_spans);
+  EXPECT_EQ(via_store.vp_count(), via_spans.vp_count());
+  EXPECT_EQ(via_store.address_weight(), via_spans.address_weight());
+}
+
+TEST(PathStore, WithoutVpDropsExactlyThatVp) {
+  auto paths = sample_paths();
+  ShardedPathStore store{paths};
+  CountryView view = store.international_view(AU);
+  CountryView rest = view.without_vp(bgp::VpId{2, 101});
+  EXPECT_EQ(rest.size(), view.size() - 1);
+  for (const sanitize::PathRecord sp : rest) {
+    EXPECT_NE(sp.vp, (bgp::VpId{2, 101}));
+  }
+}
+
+TEST(PathStore, VpCountMatchesVpsSize) {
+  auto paths = sample_paths();
+  ShardedPathStore store{paths};
+  for (CountryCode cc : {AU, US, JP}) {
+    for (ViewKind kind :
+         {ViewKind::kNational, ViewKind::kInternational, ViewKind::kOutbound}) {
+      CountryView v = store.view(cc, kind);
+      EXPECT_EQ(v.vp_count(), v.vps().size());
+    }
+  }
+}
+
+TEST(PathStore, StandaloneViewOwnsItsStore) {
+  // from_paths views (and their derived subsets) must survive the source
+  // vector's death: the view owns private columns.
+  CountryView sub;
+  {
+    std::vector<SanitizedPath> paths = sample_paths();
+    CountryView v = CountryView::from_paths(paths, AU, ViewKind::kNational);
+    sub = v.restricted_to(v.vps());
+  }
+  ASSERT_EQ(sub.size(), sample_paths().size());
+  EXPECT_GT(sub.address_weight(), 0u);
+  EXPECT_EQ(sub[5].path.materialize(), sample_paths()[5].path);
+}
+
+TEST(PathStore, EmptyStore) {
+  ShardedPathStore store{std::span<const SanitizedPath>{}};
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.arena_hop_count(), 0u);
+  EXPECT_TRUE(store.vp_countries().empty());
+  for (ViewKind kind :
+       {ViewKind::kNational, ViewKind::kInternational, ViewKind::kOutbound}) {
+    EXPECT_TRUE(store.view(AU, kind).empty());
+  }
+  CountryView standalone = CountryView::from_paths(
+      std::vector<SanitizedPath>{}, AU, ViewKind::kNational);
+  EXPECT_TRUE(standalone.empty());
+  EXPECT_EQ(standalone.vp_count(), 0u);
+  EXPECT_EQ(standalone.address_weight(), 0u);
+}
+
+// ---- The sharded store against the unsharded reference. ----
+// The reference used to be a second, monolithic PathStore. It is now
+// the span-based oracle: ViewBuilder and CountryRankings::compute(span)
+// filter the one sanitized path set directly and share no code with the
+// shards. The tests keep their names.
+
+TEST(ShardedPathStore, InterningMatchesMonolithicStore) {
+  const std::vector<SanitizedPath>& paths = mini_world_paths();
+  ShardedPathStore store{paths};
+  // Each distinct hop sequence is interned exactly once.
+  std::set<std::string> distinct;
+  std::size_t distinct_hops = 0;
+  for (const SanitizedPath& p : paths) {
+    if (distinct.insert(p.path.to_string()).second) {
+      distinct_hops += p.path.size();
+    }
+  }
+  EXPECT_EQ(store.size(), paths.size());
+  EXPECT_LT(store.unique_path_count(), store.size());
+  EXPECT_EQ(store.unique_path_count(), distinct.size());
+  EXPECT_EQ(store.arena_hop_count(), distinct_hops);
 }
 
 TEST(ShardedPathStore, CensusDomainsMatchMonolithicStore) {
-  auto paths = sample_paths();
-  PathStore mono{paths};
-  ShardedPathStore sharded{paths};
-  EXPECT_EQ(sharded.countries(), mono.countries());
-  EXPECT_EQ(sharded.vp_countries(), mono.vp_countries());
-  EXPECT_TRUE(std::is_sorted(sharded.countries().begin(),
-                             sharded.countries().end()));
+  const std::vector<SanitizedPath>& paths = mini_world_paths();
+  ShardedPathStore store{paths};
+  EXPECT_EQ(store.countries(), ViewBuilder::countries(paths));
+  std::vector<CountryCode> vp_countries;
+  for (const SanitizedPath& p : paths) {
+    if (p.vp_country.valid()) vp_countries.push_back(p.vp_country);
+  }
+  std::sort(vp_countries.begin(), vp_countries.end());
+  vp_countries.erase(std::unique(vp_countries.begin(), vp_countries.end()),
+                     vp_countries.end());
+  EXPECT_EQ(store.vp_countries(), vp_countries);
+  EXPECT_TRUE(std::is_sorted(store.countries().begin(),
+                             store.countries().end()));
 }
 
+// On a generated world, every country's national, international and
+// outbound shard view selects exactly the rows the copy-based span
+// filter does, in the same order.
 TEST(ShardedPathStore, ViewsMatchMonolithicStore) {
-  auto paths = sample_paths();
-  PathStore mono{paths};
-  ShardedPathStore sharded{paths};
-  for (CountryCode cc : {AU, US, JP}) {
-    expect_same_selection(sharded.national_view(cc), mono.national_view(cc));
-    expect_same_selection(sharded.international_view(cc),
-                          mono.international_view(cc));
-    expect_same_selection(sharded.outbound_view(cc), mono.outbound_view(cc));
-    for (ViewKind kind :
-         {ViewKind::kNational, ViewKind::kInternational, ViewKind::kOutbound}) {
-      expect_same_selection(sharded.view(cc, kind), mono.view(cc, kind));
-    }
+  const std::span<const SanitizedPath> paths{mini_world_paths()};
+  ShardedPathStore store{paths};
+  ASSERT_FALSE(store.countries().empty());
+  for (CountryCode cc : store.countries()) {
+    SCOPED_TRACE(cc.to_string());
+    const CountryView national = ViewBuilder::national(paths, cc);
+    const CountryView international = ViewBuilder::international(paths, cc);
+    const CountryView outbound = ViewBuilder::outbound(paths, cc);
+    expect_same_selection(store.national_view(cc), national);
+    expect_same_selection(store.international_view(cc), international);
+    expect_same_selection(store.outbound_view(cc), outbound);
+    expect_same_selection(store.view(cc, ViewKind::kNational), national);
+    expect_same_selection(store.view(cc, ViewKind::kInternational),
+                          international);
+    expect_same_selection(store.view(cc, ViewKind::kOutbound), outbound);
   }
 }
 
 TEST(ShardedPathStore, MetricsBitIdenticalToMonolithicStore) {
   auto paths = sample_paths();
-  PathStore mono{paths};
   ShardedPathStore sharded{paths};
   topo::AsGraph graph = sample_graph();
   CountryRankings rankings{graph};
@@ -132,7 +341,7 @@ TEST(ShardedPathStore, MetricsBitIdenticalToMonolithicStore) {
     }
   };
   for (CountryCode cc : {AU, US, JP}) {
-    CountryMetrics m1 = rankings.compute(mono, cc);
+    CountryMetrics m1 = rankings.compute(paths, cc);
     CountryMetrics m2 = rankings.compute(sharded, cc);
     expect_bitwise(m1.cci, m2.cci);
     expect_bitwise(m1.ccn, m2.ccn);
@@ -143,7 +352,7 @@ TEST(ShardedPathStore, MetricsBitIdenticalToMonolithicStore) {
     EXPECT_EQ(m1.national_addresses, m2.national_addresses);
     EXPECT_EQ(m1.international_addresses, m2.international_addresses);
 
-    OutboundMetrics o1 = rankings.compute_outbound(mono, cc);
+    OutboundMetrics o1 = rankings.compute_outbound(paths, cc);
     OutboundMetrics o2 = rankings.compute_outbound(sharded, cc);
     expect_bitwise(o1.cco, o2.cco);
     expect_bitwise(o1.aho, o2.aho);

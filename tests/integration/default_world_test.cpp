@@ -168,8 +168,8 @@ void expect_bitwise_equal(const rank::Ranking& a, const rank::Ranking& b) {
   }
 }
 
-// The zero-copy PathStore path (Pipeline::country/outbound) must be
-// bit-for-bit identical to the seed's copy-based span computation for
+// The zero-copy sharded path (Pipeline::country/outbound) must be
+// bit-for-bit identical to the copy-based span oracle's computation for
 // EVERY country on the full evaluation world — same iteration order,
 // same floating-point accumulation, same ranking bytes.
 TEST_F(DefaultWorldTest, IndexedPipelineMatchesCopyBasedComputationBitForBit) {

@@ -6,7 +6,7 @@
 
 #include <sstream>
 
-#include "bgp/mrt_text.hpp"
+#include "bgp/mrt_stream.hpp"
 #include "bgp/prefix.hpp"
 #include "bgp/update_stream.hpp"
 #include "io/as_info_csv.hpp"
@@ -62,8 +62,9 @@ TEST_P(FuzzTest, MrtTextReaderNeverCrashesAndAccounts) {
       "TABLE_DUMP2|1617235200|B|9.9.9.9|65000|192.168.0.0/24|65000|IGP\n";
   for (int round = 0; round < 50; ++round) {
     std::string text = mutate(corpus, rng);
-    bgp::MrtParseStats stats;
-    bgp::RibCollection out = bgp::from_mrt_text(text, &stats);
+    bgp::MrtStreamLoader loader;
+    bgp::RibCollection out = loader.load_text(text);
+    const bgp::MrtParseStats& stats = loader.stats();
     EXPECT_EQ(stats.lines, count_lines(text));
     EXPECT_EQ(stats.parsed + stats.malformed + stats.skipped_comments, stats.lines);
     EXPECT_EQ(out.total_entries(), stats.parsed);

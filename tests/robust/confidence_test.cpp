@@ -1,8 +1,8 @@
-#include "robust/confidence.hpp"
+#include "core/confidence.hpp"
 
 #include <gtest/gtest.h>
 
-namespace georank::robust {
+namespace georank::core {
 namespace {
 
 TEST(ConfidenceTier, ToStringCoversAllTiers) {
@@ -80,4 +80,4 @@ TEST(DegradationPolicy, WeakNationalViewOnlyDegrades) {
 }
 
 }  // namespace
-}  // namespace georank::robust
+}  // namespace georank::core

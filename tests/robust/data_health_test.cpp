@@ -38,7 +38,7 @@ TEST(DataHealth, ClassifiesVpsAndCountsPrefixWeightOnce) {
   HealthReport report = compute_health(inputs);
 
   ASSERT_EQ(report.countries.size(), 1u);
-  const CountryHealth& au = report.countries[0];
+  const core::CountryHealth& au = report.countries[0];
   EXPECT_EQ(au.country, CountryCode::of("AU"));
   EXPECT_EQ(au.national_vps, 1u);
   EXPECT_EQ(au.international_vps, 2u);
@@ -46,9 +46,9 @@ TEST(DataHealth, ClassifiesVpsAndCountsPrefixWeightOnce) {
   // Three paths over one prefix: the weight counts once.
   EXPECT_EQ(au.geolocated_addresses, 256u);
   EXPECT_DOUBLE_EQ(au.geo_consensus(), 1.0);
-  EXPECT_EQ(au.national_tier, ConfidenceTier::kDegraded);
-  EXPECT_EQ(au.international_tier, ConfidenceTier::kDegraded);
-  EXPECT_EQ(au.overall, ConfidenceTier::kDegraded);
+  EXPECT_EQ(au.national_tier, core::ConfidenceTier::kDegraded);
+  EXPECT_EQ(au.international_tier, core::ConfidenceTier::kDegraded);
+  EXPECT_EQ(au.overall, core::ConfidenceTier::kDegraded);
 }
 
 TEST(DataHealth, ReportIsSortedAndFindWorks) {
@@ -68,7 +68,7 @@ TEST(DataHealth, ReportIsSortedAndFindWorks) {
   EXPECT_NE(report.find(CountryCode::of("DE")), nullptr);
   EXPECT_EQ(report.find(CountryCode::of("JP")), nullptr);
   // Absent country == no usable evidence.
-  EXPECT_EQ(report.tier_of(CountryCode::of("JP")), ConfidenceTier::kInsufficient);
+  EXPECT_EQ(report.tier_of(CountryCode::of("JP")), core::ConfidenceTier::kInsufficient);
 }
 
 TEST(DataHealth, NoConsensusRejectionsAttributedToPluralityCountry) {
@@ -86,13 +86,13 @@ TEST(DataHealth, NoConsensusRejectionsAttributedToPluralityCountry) {
   inputs.prefix_geo = &geo_result;
   HealthReport report = compute_health(inputs);
 
-  const CountryHealth* au = report.find(CountryCode::of("AU"));
+  const core::CountryHealth* au = report.find(CountryCode::of("AU"));
   ASSERT_NE(au, nullptr);
   EXPECT_EQ(au->no_consensus_prefixes, 1u);
   EXPECT_EQ(au->no_consensus_addresses, 700u);
   EXPECT_DOUBLE_EQ(au->geo_consensus(), 0.3);
-  EXPECT_EQ(au->geo_tier, ConfidenceTier::kDegraded);
-  EXPECT_EQ(au->overall, ConfidenceTier::kDegraded);
+  EXPECT_EQ(au->geo_tier, core::ConfidenceTier::kDegraded);
+  EXPECT_EQ(au->overall, core::ConfidenceTier::kDegraded);
 }
 
 TEST(DataHealth, ExtraGeoRejectionsFeedConsensus) {
@@ -106,10 +106,10 @@ TEST(DataHealth, ExtraGeoRejectionsFeedConsensus) {
   inputs.extra_geo_rejections = &extra;
   HealthReport report = compute_health(inputs);
 
-  const CountryHealth* au = report.find(CountryCode::of("AU"));
+  const core::CountryHealth* au = report.find(CountryCode::of("AU"));
   ASSERT_NE(au, nullptr);
   EXPECT_DOUBLE_EQ(au->geo_consensus(), 0.25);
-  EXPECT_EQ(au->geo_tier, ConfidenceTier::kDegraded);
+  EXPECT_EQ(au->geo_tier, core::ConfidenceTier::kDegraded);
 }
 
 TEST(DataHealth, DropRatesFromLayerStats) {
@@ -142,7 +142,7 @@ TEST(DataHealth, EmptyInputsYieldEmptyReport) {
   HealthInputs inputs;
   HealthReport report = compute_health(inputs);
   EXPECT_TRUE(report.countries.empty());
-  EXPECT_EQ(report.count(ConfidenceTier::kHigh), 0u);
+  EXPECT_EQ(report.count(core::ConfidenceTier::kHigh), 0u);
   EXPECT_DOUBLE_EQ(report.ingest_drop_rate, 0.0);
   EXPECT_DOUBLE_EQ(report.sanitize_drop_rate, 0.0);
 }
@@ -178,8 +178,8 @@ TEST(DataHealth, ShardedOverloadMatchesSpanOverloadFieldForField) {
   EXPECT_DOUBLE_EQ(sharded.sanitize_drop_rate, flat.sanitize_drop_rate);
   ASSERT_EQ(sharded.countries.size(), flat.countries.size());
   for (std::size_t i = 0; i < flat.countries.size(); ++i) {
-    const CountryHealth& a = flat.countries[i];
-    const CountryHealth& b = sharded.countries[i];
+    const core::CountryHealth& a = flat.countries[i];
+    const core::CountryHealth& b = sharded.countries[i];
     EXPECT_EQ(a.country, b.country);
     EXPECT_EQ(a.national_vps, b.national_vps) << a.country.to_string();
     EXPECT_EQ(a.international_vps, b.international_vps) << a.country.to_string();
@@ -212,7 +212,7 @@ TEST(DataHealth, PipelineOverloadMatchesAnnotatedMetrics) {
   ASSERT_FALSE(report.countries.empty());
   // The health report and the pipeline's confidence annotation are two
   // views of the same evidence: their tiers must agree per country.
-  for (const CountryHealth& h : report.countries) {
+  for (const core::CountryHealth& h : report.countries) {
     core::CountryMetrics m = pipeline.country(h.country);
     EXPECT_EQ(m.confidence, h.overall) << h.country.to_string();
     EXPECT_DOUBLE_EQ(m.geo_consensus, h.geo_consensus()) << h.country.to_string();
@@ -245,8 +245,8 @@ TEST(DataHealth, PipelineMemoizedPathMatchesGenericAndStaysWarm) {
   EXPECT_DOUBLE_EQ(memoized.sanitize_drop_rate, generic.sanitize_drop_rate);
   ASSERT_EQ(memoized.countries.size(), generic.countries.size());
   for (std::size_t i = 0; i < generic.countries.size(); ++i) {
-    const CountryHealth& a = generic.countries[i];
-    const CountryHealth& b = memoized.countries[i];
+    const core::CountryHealth& a = generic.countries[i];
+    const core::CountryHealth& b = memoized.countries[i];
     EXPECT_EQ(a.country, b.country);
     EXPECT_EQ(a.national_vps, b.national_vps) << a.country.to_string();
     EXPECT_EQ(a.international_vps, b.international_vps) << a.country.to_string();
@@ -266,7 +266,7 @@ TEST(DataHealth, PipelineMemoizedPathMatchesGenericAndStaysWarm) {
   // A non-matching policy must bypass the memo (its entries were tiered
   // under the configured thresholds) yet still report the same raw
   // evidence.
-  DegradationPolicy stricter = config.degradation;
+  core::DegradationPolicy stricter = config.degradation;
   stricter.min_vps = config.degradation.min_vps + 10;
   HealthReport strict_report = compute_health(pipeline, stricter);
   ASSERT_EQ(strict_report.countries.size(), memoized.countries.size());

@@ -7,8 +7,8 @@
 #include <set>
 #include <unordered_map>
 
-#include "core/path_store.hpp"
 #include "core/pipeline.hpp"
+#include "core/sharded_path_store.hpp"
 #include "gen/internet_generator.hpp"
 #include "gen/rib_generator.hpp"
 #include "gen/scenarios.hpp"
@@ -150,7 +150,7 @@ TEST(Perturb, QueryPathsSurviveBoundedFaultsWithoutThrowing) {
       spec.corrupt_geo_fraction = geo_fraction;
       EXPECT_NO_THROW({
         PerturbationResult result = perturb(clean_paths(), spec);
-        core::PathStore store{result.paths};
+        core::ShardedPathStore store{result.paths};
         for (CountryCode cc : census) {
           core::CountryMetrics m = rankings.compute(store, cc);
           (void)m;
@@ -184,14 +184,14 @@ TEST(Perturb, HealthFlagsExactlyThePerturbedCountry) {
   HealthReport perturbed = compute_health(inputs);
 
   std::vector<CountryCode> flagged;
-  for (const CountryHealth& h : clean.countries) {
+  for (const core::CountryHealth& h : clean.countries) {
     if (perturbed.tier_of(h.country) != h.overall) flagged.push_back(h.country);
   }
   ASSERT_EQ(flagged.size(), 1u);
   EXPECT_EQ(flagged[0], au);
   // All AU evidence is gone; the corruption shows up as lost consensus.
-  EXPECT_EQ(perturbed.tier_of(au), ConfidenceTier::kInsufficient);
-  const CountryHealth* after = perturbed.find(au);
+  EXPECT_EQ(perturbed.tier_of(au), core::ConfidenceTier::kInsufficient);
+  const core::CountryHealth* after = perturbed.find(au);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->geolocated_addresses, 0u);
   EXPECT_GT(after->no_consensus_addresses, 0u);
@@ -199,7 +199,7 @@ TEST(Perturb, HealthFlagsExactlyThePerturbedCountry) {
 
 TEST(Perturb, TargetedVpDropFlagsOnlyCountriesWithoutMargin) {
   CountryCode au = CountryCode::of("AU");
-  DegradationPolicy policy;
+  core::DegradationPolicy policy;
   HealthInputs clean_inputs;
   clean_inputs.paths = clean_paths();
   HealthReport clean = compute_health(clean_inputs, policy);
@@ -212,7 +212,7 @@ TEST(Perturb, TargetedVpDropFlagsOnlyCountriesWithoutMargin) {
   inputs.paths = result.paths;
   HealthReport perturbed = compute_health(inputs, policy);
 
-  for (const CountryHealth& h : clean.countries) {
+  for (const core::CountryHealth& h : clean.countries) {
     if (h.country == au) continue;
     // Other countries lose at most the dropped VPs from their
     // international view; with margin above the policy minimum their
@@ -224,8 +224,8 @@ TEST(Perturb, TargetedVpDropFlagsOnlyCountriesWithoutMargin) {
     }
   }
   // AU itself lost national VPs.
-  const CountryHealth* before = clean.find(au);
-  const CountryHealth* after = perturbed.find(au);
+  const core::CountryHealth* before = clean.find(au);
+  const core::CountryHealth* after = perturbed.find(au);
   ASSERT_NE(before, nullptr);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->national_vps,

@@ -38,7 +38,7 @@ core::CountryMetrics metrics_variant(std::uint64_t variant) {
   m.ahn = m.cci;
   m.national_vps = 3 + variant;
   m.international_vps = 7;
-  m.confidence = robust::ConfidenceTier::kHigh;
+  m.confidence = core::ConfidenceTier::kHigh;
   m.geo_consensus = 1.0;
   return m;
 }
@@ -49,7 +49,7 @@ std::shared_ptr<const Snapshot> snapshot_variant(std::uint64_t id) {
   snapshot->meta.created_unix = id;
   snapshot->meta.label = "variant-" + std::to_string(id);
   snapshot->countries.push_back(metrics_variant(id));
-  robust::CountryHealth h;
+  core::CountryHealth h;
   h.country = CountryCode::of("AU");
   h.national_vps = 3 + id;
   snapshot->health.countries.push_back(h);

@@ -32,7 +32,7 @@ core::CountryMetrics make_metrics(CountryCode country,
   m.international_vps = 9;
   m.national_addresses = 1000;
   m.international_addresses = 2000;
-  m.confidence = robust::ConfidenceTier::kHigh;
+  m.confidence = core::ConfidenceTier::kHigh;
   m.geo_consensus = 0.875;
   return m;
 }
@@ -50,7 +50,7 @@ std::shared_ptr<const Snapshot> make_snapshot(
             });
   snapshot->countries = std::move(countries);
   for (const core::CountryMetrics& m : snapshot->countries) {
-    robust::CountryHealth h;
+    core::CountryHealth h;
     h.country = m.country;
     h.national_vps = m.national_vps;
     h.international_vps = m.international_vps;

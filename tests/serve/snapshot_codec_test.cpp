@@ -82,8 +82,8 @@ void expect_identical(const serve::Snapshot& a, const serve::Snapshot& b) {
   EXPECT_EQ(a.health.sanitize_drop_rate, b.health.sanitize_drop_rate);
   ASSERT_EQ(a.health.countries.size(), b.health.countries.size());
   for (std::size_t i = 0; i < a.health.countries.size(); ++i) {
-    const robust::CountryHealth& x = a.health.countries[i];
-    const robust::CountryHealth& y = b.health.countries[i];
+    const core::CountryHealth& x = a.health.countries[i];
+    const core::CountryHealth& y = b.health.countries[i];
     EXPECT_EQ(x.country.raw(), y.country.raw());
     EXPECT_EQ(x.national_tier, y.national_tier);
     EXPECT_EQ(x.international_tier, y.international_tier);
@@ -172,10 +172,10 @@ TEST(SnapshotCodec, EveryTruncationPrefixIsRejected) {
   m.international_vps = 9;
   m.national_addresses = 1000;
   m.international_addresses = 2000;
-  m.confidence = robust::ConfidenceTier::kHigh;
+  m.confidence = core::ConfidenceTier::kHigh;
   m.geo_consensus = 0.875;
   tiny.countries.push_back(m);
-  robust::CountryHealth h;
+  core::CountryHealth h;
   h.country = m.country;
   h.national_vps = m.national_vps;
   h.international_vps = m.international_vps;

@@ -438,8 +438,8 @@ std::optional<DataSet> load_dataset(const fs::path& dir, bool infer_relationship
 
 /// --min-vps / --min-geo-consensus override the paper-default
 /// DegradationPolicy for the confidence annotation.
-robust::DegradationPolicy degradation_from_args(const Args& args) {
-  robust::DegradationPolicy policy;
+core::DegradationPolicy degradation_from_args(const Args& args) {
+  core::DegradationPolicy policy;
   policy.min_vps = args.size_or("min-vps", policy.min_vps);
   policy.min_geo_consensus =
       args.double_or("min-geo-consensus", policy.min_geo_consensus);
@@ -459,7 +459,7 @@ std::vector<bgp::Asn> clique_from_args(const Args& args) {
 }
 
 core::PipelineConfig pipeline_config(const DataSet& data,
-                                    robust::DegradationPolicy degradation = {}) {
+                                    core::DegradationPolicy degradation = {}) {
   core::PipelineConfig config;
   config.sanitizer.route_server_asns = data.route_servers;
   config.degradation = degradation;
@@ -467,7 +467,7 @@ core::PipelineConfig pipeline_config(const DataSet& data,
 }
 
 core::Pipeline make_pipeline(const DataSet& data,
-                             robust::DegradationPolicy degradation = {}) {
+                             core::DegradationPolicy degradation = {}) {
   core::Pipeline pipeline{data.geo_db, data.vps, data.asn_registry,
                           data.relationships, pipeline_config(data, degradation)};
   pipeline.load(data.ribs);
@@ -733,8 +733,7 @@ int cmd_infer(const Args& args) {
   } else {
     std::ifstream ribs_is{dir / "ribs.txt"};
     if (!ribs_is) return 1;
-    bgp::MrtTextReader reader;
-    ribs = reader.read_collection(ribs_is);
+    ribs = bgp::MrtStreamLoader{}.load(ribs_is);
   }
   if (ribs.days.empty()) {
     std::fprintf(stderr, "no RIB data in %s\n", dir.string().c_str());
@@ -779,7 +778,7 @@ int cmd_health(const Args& args) {
                            &fail_code,
                            args.thread_count_or("ingest-threads", 0));
   if (!data) return fail_code;
-  robust::DegradationPolicy policy = degradation_from_args(args);
+  core::DegradationPolicy policy = degradation_from_args(args);
   core::Pipeline pipeline = make_pipeline(*data, policy);
 
   robust::HealthReport report = robust::compute_health(pipeline, policy);
@@ -788,14 +787,14 @@ int cmd_health(const Args& args) {
     return kExitEmptyResult;
   }
 
-  auto tier = [](robust::ConfidenceTier t) {
-    return std::string(robust::to_string(t));
+  auto tier = [](core::ConfidenceTier t) {
+    return std::string(core::to_string(t));
   };
   auto write_csv = [&](std::ostream& os) {
     os << "country,national_vps,international_vps,accepted_prefixes,"
           "geolocated_addresses,no_consensus_prefixes,no_consensus_addresses,"
           "geo_consensus,national_tier,international_tier,geo_tier,overall\n";
-    for (const robust::CountryHealth& h : report.countries) {
+    for (const core::CountryHealth& h : report.countries) {
       os << h.country.to_string() << ',' << h.national_vps << ','
          << h.international_vps << ',' << h.accepted_prefixes << ','
          << h.geolocated_addresses << ',' << h.no_consensus_prefixes << ','
@@ -811,7 +810,7 @@ int cmd_health(const Args& args) {
     util::Table table{{"country", "natVP", "intlVP", "prefixes", "addresses",
                        "consensus", "nat", "intl", "geo", "overall"}};
     for (std::size_t c = 1; c <= 5; ++c) table.set_align(c, util::Align::kRight);
-    for (const robust::CountryHealth& h : report.countries) {
+    for (const core::CountryHealth& h : report.countries) {
       table.add_row({h.country.to_string(), std::to_string(h.national_vps),
                      std::to_string(h.international_vps),
                      std::to_string(h.accepted_prefixes),
@@ -823,9 +822,9 @@ int cmd_health(const Args& args) {
     table.print(std::cout);
     std::printf("\n%zu countries: %zu high, %zu degraded, %zu insufficient\n",
                 report.countries.size(),
-                report.count(robust::ConfidenceTier::kHigh),
-                report.count(robust::ConfidenceTier::kDegraded),
-                report.count(robust::ConfidenceTier::kInsufficient));
+                report.count(core::ConfidenceTier::kHigh),
+                report.count(core::ConfidenceTier::kDegraded),
+                report.count(core::ConfidenceTier::kInsufficient));
     std::printf("drop rates: ingest %s, sanitize %s\n",
                 util::percent(report.ingest_drop_rate).c_str(),
                 util::percent(report.sanitize_drop_rate).c_str());
