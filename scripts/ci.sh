@@ -35,6 +35,10 @@
 #            the journal holds the burst, restart with `--recover` on
 #            the rest of the archive, and byte-compare the recovered
 #            GRSNAP01 against an uninterrupted reference run
+#   perfbench the benchmark harness end to end: `perfbench/run.py
+#            --smoke` builds perfbench from this checkout's src/ and runs
+#            every BENCHMARK.json workload, untraced and traced, on tiny
+#            worlds with each workload's correctness gate
 #   tidy     clang-tidy over src/ (opt-in: --clang-tidy; skips politely
 #            when the tool is not installed)
 #
@@ -428,6 +432,9 @@ if [[ "$SKIP_RECOVERY" -eq 0 ]]; then
 else
   echo "==> recovery stage skipped (--skip-recovery)"
 fi
+
+echo "==> perfbench tier: every benchmark workload on tiny worlds"
+python3 perfbench/run.py --smoke
 
 if [[ "$RUN_TIDY" -eq 1 ]]; then
   if command -v clang-tidy > /dev/null 2>&1; then

@@ -153,12 +153,10 @@ void UpdatePipeline::apply_one(const Pending& pending) {
   batch_prefixes_.push_back(u.prefix);
 }
 
-std::vector<geo::CountryCode> UpdatePipeline::touched_countries() const {
+std::vector<geo::CountryCode> UpdatePipeline::touched_countries(
+    std::span<const bgp::Prefix> prefixes) const {
   const geo::GeoDatabase& db = pipeline_->geo_db();
   std::vector<geo::CountryCode> countries;
-  std::vector<bgp::Prefix> prefixes = batch_prefixes_;
-  std::sort(prefixes.begin(), prefixes.end());
-  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
   for (const bgp::Prefix& prefix : prefixes) {
     for (const geo::CountrySlice& slice :
          db.count_by_country(prefix.first(), prefix.last())) {
@@ -185,13 +183,11 @@ FlushReport UpdatePipeline::flush() {
   }
 
   const Clock::time_point start = Clock::now();
-  report.touched_countries = touched_countries();
-  report.touched_prefixes = [this] {
-    std::vector<bgp::Prefix> unique = batch_prefixes_;
-    std::sort(unique.begin(), unique.end());
-    unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-    return unique.size();
-  }();
+  std::vector<bgp::Prefix> prefixes = batch_prefixes_;
+  std::sort(prefixes.begin(), prefixes.end());
+  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+  report.touched_countries = touched_countries(prefixes);
+  report.touched_prefixes = prefixes.size();
 
   // No day closed since the last flush: the pipeline's world differs
   // from the live table only in the keys this batch touched, so hand it

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -215,8 +216,9 @@ class UpdatePipeline {
   void drain_up_to(std::uint64_t watermark);
   /// Applies one update to the live table (day bookkeeping included).
   void apply_one(const Pending& pending);
-  /// Sorted valid countries the batch's prefixes geolocate to.
-  [[nodiscard]] std::vector<geo::CountryCode> touched_countries() const;
+  /// Sorted valid countries the given prefixes geolocate to.
+  [[nodiscard]] std::vector<geo::CountryCode> touched_countries(
+      std::span<const bgp::Prefix> prefixes) const;
   void report_ingest(const FlushReport& report);
   /// Publishes an automatic checkpoint when the push count crosses the
   /// configured interval.

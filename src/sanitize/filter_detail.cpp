@@ -12,6 +12,21 @@ inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   h *= kFnvPrime;
 }
 
+/// Order-sensitive content fold over raw entries.
+std::uint64_t fold_entries(std::uint64_t h,
+                           std::span<const bgp::RouteEntry> entries) {
+  for (const bgp::RouteEntry& e : entries) {
+    fnv_mix(h, e.vp.ip);
+    fnv_mix(h, e.vp.asn);
+    fnv_mix(h, (static_cast<std::uint64_t>(e.prefix.address()) << 8) |
+                   e.prefix.length());
+    fnv_mix(h, e.path.size());
+    for (bgp::Asn hop : e.path.hops()) fnv_mix(h, hop);
+    fnv_mix(h, e.path.has_as_set() ? 1u : 0u);
+  }
+  return h;
+}
+
 }  // namespace
 
 void filter_day(int day, std::span<const bgp::RouteEntry> entries,
@@ -92,20 +107,6 @@ void filter_day(int day, std::span<const bgp::RouteEntry> entries,
         e.vp, *vp_country, e.prefix, prefix_country,
         world.prefix_geo->weight_of(e.prefix), std::move(cleaned)});
   }
-}
-
-std::uint64_t fold_entries(std::uint64_t h,
-                           std::span<const bgp::RouteEntry> entries) {
-  for (const bgp::RouteEntry& e : entries) {
-    fnv_mix(h, e.vp.ip);
-    fnv_mix(h, e.vp.asn);
-    fnv_mix(h, (static_cast<std::uint64_t>(e.prefix.address()) << 8) |
-                   e.prefix.length());
-    fnv_mix(h, e.path.size());
-    for (bgp::Asn hop : e.path.hops()) fnv_mix(h, hop);
-    fnv_mix(h, e.path.has_as_set() ? 1u : 0u);
-  }
-  return h;
 }
 
 std::uint64_t day_digest(const bgp::RibSnapshot& snap) {

@@ -100,22 +100,12 @@ struct FilterState {
 };
 
 /// Runs the paper's per-entry filter precedence over one day's entries
-/// (or any contiguous slice of them — the loop is sequential, so a
-/// suffix of a day can be filtered on its own by resuming `state`),
+/// (or any slice of them: the delta path filters single entries),
 /// appending accepted rows, stats and audit samples to `result`.
 void filter_day(int day, std::span<const bgp::RouteEntry> entries,
                 const FilterWorld& world, const geo::VpGeolocator& vps,
                 const AsnRegistry& registry, const SanitizerOptions& options,
                 FilterState& state, SanitizeResult& result);
-
-/// Seed for fold_entries when starting a fresh fold.
-inline constexpr std::uint64_t kFoldSeed = 1469598103934665603ull;
-
-/// Sequential, order-sensitive content fold over raw entries, resumable:
-/// fold_entries(fold_entries(kFoldSeed, a), b) == fold_entries(kFoldSeed,
-/// a+b). This prefix property is what detects an append-only final day.
-[[nodiscard]] std::uint64_t fold_entries(std::uint64_t h,
-                                         std::span<const bgp::RouteEntry> entries);
 
 /// Content digest of one day's raw entries (order-sensitive: entry order
 /// feeds dedup precedence). Used to prove days unchanged between runs.

@@ -87,8 +87,6 @@ void IncrementalSanitizer::invalidate() noexcept {
   covered_.clear();
   delta_ready_ = false;
   head_rows_ = 0;
-  final_len_ = 0;
-  final_fold_valid_ = false;
 }
 
 void IncrementalSanitizer::drop_delta_memo() noexcept {
@@ -169,16 +167,10 @@ SanitizeResult IncrementalSanitizer::run_full(const bgp::RibCollection& ribs,
       day_digests_.push_back(detail::day_digest(snap));
     }
     stable_digest_ = detail::stable_set_digest(counts, need_);
-    // The sequential state is memoized POST-run; run_fast() derives the
-    // final-day boundary from it on demand (or, on the append path,
-    // continues from it directly).
+    // The dedup set is memoized POST-run; run_fast() derives the
+    // final-day boundary from it on demand.
     dedup_post_ = std::move(state.dedup);
-    post_sample_counts_ = state.sample_counts;
     final_day_number_ = ribs.days.back().day;
-    final_len_ = ribs.days.back().entries.size();
-    final_entries_fold_ =
-        detail::fold_entries(detail::kFoldSeed, ribs.days.back().entries);
-    final_fold_valid_ = true;
     counts_ = std::move(counts);
     covered_ = std::move(covered_set);
     delta_ready_ = options_.samples_per_category == 0 &&
@@ -197,7 +189,6 @@ SanitizeResult IncrementalSanitizer::run_full(const bgp::RibCollection& ribs,
 
 bool IncrementalSanitizer::can_fast_path(const bgp::RibCollection& ribs) {
   pending_ready_ = false;
-  pending_append_ = false;
   if (!memo_valid_ || options_.clique.empty()) return false;
   const std::size_t n = ribs.days.size();
   if (n == 0 || n != day_digests_.size()) return false;
@@ -215,22 +206,7 @@ bool IncrementalSanitizer::can_fast_path(const bgp::RibCollection& ribs) {
   if (detail::stable_set_digest(pending_counts_, need_) != stable_digest_) {
     return false;
   }
-  // Append detection: same day number and the memoized entries a literal
-  // prefix of the new ones (fold_entries' prefix property proves it).
-  // Then every previously-filtered entry sees identical inputs — the
-  // stable set is digest-pinned, and appended entries cannot alter the
-  // day-presence of a prefix the old final day already counted — so only
-  // the appended tail needs filtering.
-  const bgp::RibSnapshot& fin = ribs.days.back();
-  if (final_fold_valid_ && fin.day == final_day_number_ &&
-      fin.entries.size() >= final_len_ &&
-      detail::fold_entries(
-          detail::kFoldSeed,
-          std::span<const bgp::RouteEntry>{fin.entries}.first(final_len_)) ==
-          final_entries_fold_) {
-    pending_append_ = true;
-  }
-  pending_final_digest_ = detail::day_digest(fin);
+  pending_final_digest_ = detail::day_digest(ribs.days.back());
   pending_ready_ = true;
   return true;
 }
@@ -242,61 +218,39 @@ SanitizeResult IncrementalSanitizer::run_fast(const bgp::RibCollection& ribs,
   pending_ready_ = false;
 
   const bgp::RibSnapshot& fin = ribs.days.back();
-  SanitizeResult result;
-  std::size_t rows_reused = 0;
   detail::FilterState state;
   state.dedup = std::move(dedup_post_);
-  std::span<const bgp::RouteEntry> to_filter{fin.entries};
-
-  if (pending_append_) {
-    // Append path: the previous result IS the result for the prefix the
-    // old final day covered; filter only the appended tail, continuing
-    // the sequential fold from the post-run state.
-    result = std::move(previous);
-    rows_reused = result.paths.size();
-    state.sample_counts = post_sample_counts_;
-    to_filter = to_filter.subspan(final_len_);
-  } else {
-    // Replace path: rewind the post-run dedup set to the final-day
-    // boundary by erasing exactly the keys the old final day inserted —
-    // one per emitted suffix row (a final-day entry whose key already
-    // existed was counted as a duplicate and emitted nothing). Must read
-    // previous.paths BEFORE the move below.
-    for (std::size_t i = head_rows_; i < previous.paths.size(); ++i) {
-      const SanitizedPath& row = previous.paths[i];
-      state.dedup.erase(
-          detail::DedupKey{row.vp, row.prefix, row.path.to_string()});
-    }
-    result.clique = options_.clique;
-    result.prefix_geo = std::move(previous.prefix_geo);
-    // Rows are emitted day-major, so the previous result's head rows are
-    // a prefix of `paths`; drop the old final day and keep the capacity.
-    result.paths = std::move(previous.paths);
-    result.paths.resize(head_rows_);
-    rows_reused = head_rows_;
-    result.stats = head_stats_;
-    result.samples = head_samples_;
-    state.sample_counts = head_sample_counts_;
+  // Rewind the post-run dedup set to the final-day boundary by erasing
+  // exactly the keys the old final day inserted — one per emitted suffix
+  // row (a final-day entry whose key already existed was counted as a
+  // duplicate and emitted nothing). Must read previous.paths BEFORE the
+  // move below.
+  for (std::size_t i = head_rows_; i < previous.paths.size(); ++i) {
+    const SanitizedPath& row = previous.paths[i];
+    state.dedup.erase(
+        detail::DedupKey{row.vp, row.prefix, row.path.to_string()});
   }
+  SanitizeResult result;
+  result.clique = options_.clique;
+  result.prefix_geo = std::move(previous.prefix_geo);
+  // Rows are emitted day-major, so the previous result's head rows are a
+  // prefix of `paths`; drop the old final day and keep the capacity.
+  result.paths = std::move(previous.paths);
+  result.paths.resize(head_rows_);
+  result.stats = head_stats_;
+  result.samples = head_samples_;
+  state.sample_counts = head_sample_counts_;
 
   // The stable set is unchanged, so the memoized covered set still
   // matches result.prefix_geo.
   detail::FilterWorld world{&pending_counts_, need_, options_.clique,
                             &result.prefix_geo, &covered_};
-  detail::filter_day(fin.day, to_filter, world, *vps_, *registry_, options_,
+  detail::filter_day(fin.day, fin.entries, world, *vps_, *registry_, options_,
                      state, result);
 
-  // Re-arm the memo at the new final day. On the append path the new
-  // fold continues the old one over the tail (`to_filter` is exactly the
-  // appended entries) — the same resumption the detection relies on.
+  // Re-arm the memo at the new final day.
   dedup_post_ = std::move(state.dedup);
-  post_sample_counts_ = state.sample_counts;
-  final_entries_fold_ =
-      pending_append_ ? detail::fold_entries(final_entries_fold_, to_filter)
-                      : detail::fold_entries(detail::kFoldSeed, fin.entries);
-  final_fold_valid_ = true;
   final_day_number_ = fin.day;
-  final_len_ = fin.entries.size();
   day_digests_.back() = pending_final_digest_;
   counts_ = std::move(pending_counts_);
   delta_ready_ = options_.samples_per_category == 0 &&
@@ -306,9 +260,8 @@ SanitizeResult IncrementalSanitizer::run_fast(const bgp::RibCollection& ribs,
     outcome->fast_path = true;
     outcome->days_reused = ribs.days.size() - 1;
     outcome->days_resanitized = 1;
-    outcome->rows_reused = rows_reused;
+    outcome->rows_reused = head_rows_;
   }
-  pending_append_ = false;
   return result;
 }
 
@@ -497,7 +450,6 @@ IncrementalSanitizer::RowEdit IncrementalSanitizer::commit_delta(
       counts_[prefix] = days;
     }
   }
-  final_fold_valid_ = false;
 
   if (outcome) {
     // No day was re-filtered; the unchanged rows are the ones `edit`

@@ -25,17 +25,7 @@
 //
 // When all of that holds, run_fast() reuses the previous result's head
 // rows (rows are emitted day-major, so they are a prefix of `paths`) and
-// re-filters only the final day. When the new final day is additionally
-// a strict EXTENSION of the memoized one — same day number, old entries
-// a literal prefix, proven by a resumable content fold — run_fast()
-// keeps the previous result wholesale and filters only the appended
-// tail, making an append-only burst O(delta) instead of O(final day).
-// Appended entries cannot change the day-presence of previously-seen
-// final-day prefixes ({count, last_day} counts each prefix once per
-// day), and any NEW prefix crossing the stability threshold changes the
-// stable-set digest and rejects the fast path, so the extension is
-// sound. A burst that REPLACES or withdraws a route is not an append,
-// so through run_fast() it re-filters the whole final day.
+// re-filters the whole final day.
 //
 // The delta path (plan_delta() + commit_delta(), behind
 // core::Pipeline::apply_delta) handles exactly those bursts without the
@@ -207,29 +197,14 @@ class IncrementalSanitizer {
   std::array<std::size_t, 9> head_sample_counts_{};
   std::vector<RejectedSample> head_samples_;
   std::size_t head_rows_ = 0;
-  // Sequential filter state AFTER the full run (post the final day).
-  // The boundary state run_fast() resumes from is derived on demand:
-  // the replace path erases exactly the keys the old final day's rows
-  // inserted; the append path needs no rewind at all — it continues the
-  // fold from here over just the appended tail.
+  // Dedup set AFTER the last run (post the final day). run_fast()
+  // derives the final-day boundary from it by erasing exactly the keys
+  // the old final day's rows inserted; plan_delta() reads it as is.
   detail::DedupSet dedup_post_;
-  std::array<std::size_t, 9> post_sample_counts_{};
-  // Final-day identity for the append detection: day number, entry
-  // count, and the resumable content fold over those entries. A new
-  // final day whose first `final_len_` entries fold to the same value
-  // is PROVEN to extend the memoized day (fold_entries' prefix
-  // property), so only entries[final_len_..] need filtering.
-  int final_day_number_ = 0;
-  std::size_t final_len_ = 0;
-  std::uint64_t final_entries_fold_ = 0;
-  // A committed delta patches the final day without its entries, so the
-  // fold no longer describes it; append detection stays off until the
-  // next run_full() or run_fast() folds the day again.
-  bool final_fold_valid_ = false;
+  int final_day_number_ = 0;  // day number of the memoized final day
 
   // ---- Staged by can_fast_path() for the next run_fast(). ----
   bool pending_ready_ = false;
-  bool pending_append_ = false;       // final day is a strict extension
   detail::DayCounts pending_counts_;  // head counts + new final day
   std::uint64_t pending_final_digest_ = 0;
 };

@@ -1,6 +1,6 @@
 // serve::HttpClient — a deliberately tiny blocking HTTP/1.1 client for
-// loopback use: the integration tests and bench_serve drive the server
-// through real sockets with it. It speaks just enough HTTP for that
+// loopback use: the tests and perfbench's serve workload drive the
+// server through real sockets with it. It speaks just enough HTTP for that
 // job: GET over an existing keep-alive connection, Content-Length
 // framing, no chunked encoding, no redirects, no TLS.
 #pragma once

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -239,6 +240,34 @@ TEST(UpdatePipeline, NoChangeFlushKeepsShardsAndMemos) {
   // Publishing still happened: the service moved to a fresh snapshot id.
   EXPECT_EQ(service.current()->meta.id, second.snapshot_id);
   EXPECT_GT(second.snapshot_id, first.snapshot_id);
+}
+
+TEST(UpdatePipeline, ApplyUpdatesAfterLiveReplayKeepsShardsAndMemos) {
+  // A world reached through live flushes (delta patches included) must
+  // be the world a batch load would build: re-applying the replayed
+  // collection through Pipeline::apply_updates finds every shard digest
+  // and every warm memo unchanged.
+  LiveFixture f{29};
+  core::Pipeline pipeline = f.make_pipeline();
+  serve::RankingService service;
+  UpdatePipelineOptions options;
+  options.flush_batch = 313;
+  UpdatePipeline live{pipeline, service, options};
+  std::size_t delta_flushes = 0;
+  for (const UpdateMessage& u : f.archive) {
+    if (std::optional<FlushReport> r = live.push(u); r && r->apply.delta_path) {
+      ++delta_flushes;
+    }
+  }
+  if (live.drain().apply.delta_path) ++delta_flushes;
+  ASSERT_GT(delta_flushes, 0u);
+
+  core::Pipeline::ApplyResult again = pipeline.apply_updates(
+      bgp::replay_to_collection(f.archive, bgp::ReplayOptions{}));
+  EXPECT_EQ(again.shards_rebuilt, 0u);
+  EXPECT_EQ(again.shards_kept, pipeline.store().shards().size());
+  EXPECT_EQ(again.memos_evicted, 0u);
+  EXPECT_GT(again.memos_kept, 0u);
 }
 
 TEST(UpdatePipeline, IngestCountersReachTheService) {

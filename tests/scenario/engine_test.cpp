@@ -25,6 +25,48 @@ core::PipelineConfig config_for(const gen::World& world) {
   return cfg;
 }
 
+/// An internet-preset world at `scale`, loaded.
+struct InternetFixture {
+  gen::InternetScaleGenerator generator;
+  gen::World world;
+  bgp::RibCollection ribs;
+  core::Pipeline pipeline;
+
+  explicit InternetFixture(double scale)
+      : generator(gen::internet_spec(scale, 5)),
+        world(generator.generate()),
+        ribs(generator.synthesize_ribs(world)),
+        pipeline(world.geo_db, world.vps, world.asn_registry, world.graph,
+                 config_for(world)) {
+    pipeline.load(ribs);
+  }
+};
+
+/// De-peers the least-linked cross-country pair: the scenario that
+/// touches the fewest shards, which is the case the memos are for.
+Scenario thinnest_depeer(const gen::World& world) {
+  std::map<std::pair<CountryCode, CountryCode>, std::size_t> border_links;
+  for (bgp::Asn asn : world.graph.ases()) {
+    auto a = world.as_registry.find(asn);
+    if (a == world.as_registry.end()) continue;
+    for (const topo::Neighbor& n :
+         world.graph.neighbors(world.graph.id_of(asn))) {
+      auto b = world.as_registry.find(world.graph.asn_of(n.id));
+      if (b == world.as_registry.end() || a->second == b->second) continue;
+      if (a->second.raw() < b->second.raw()) {
+        ++border_links[{a->second, b->second}];
+      }
+    }
+  }
+  if (border_links.empty()) return Scenario{};
+  auto thinnest = border_links.begin();
+  for (auto it = border_links.begin(); it != border_links.end(); ++it) {
+    if (it->second < thinnest->second) thinnest = it;
+  }
+  return parse("seed 3\ndepeer " + thinnest->first.first.to_string() + " " +
+               thinnest->first.second.to_string() + "\n");
+}
+
 struct EngineFixture {
   gen::World world;
   bgp::RibCollection ribs;
@@ -89,38 +131,9 @@ TEST(WhatIfEngine, SingleDepeerReusesUntouchedCountryMemos) {
   // severing ONE cross-border link must leave most countries' shard
   // digests untouched, and the report must prove their rankings were
   // reused, not recomputed.
-  gen::InternetScaleGenerator generator{gen::internet_spec(1.0, 5)};
-  gen::World world = generator.generate();
-  bgp::RibCollection ribs = generator.synthesize_ribs(world);
-  core::Pipeline pipeline{world.geo_db, world.vps, world.asn_registry,
-                          world.graph, config_for(world)};
-  pipeline.load(ribs);
-  WhatIfEngine engine{pipeline, world.graph, world.as_registry, ribs};
-
-  // Deterministically pick the least-linked cross-country pair.
-  std::map<std::pair<CountryCode, CountryCode>, std::size_t> border_links;
-  for (bgp::Asn asn : world.graph.ases()) {
-    auto a = world.as_registry.find(asn);
-    if (a == world.as_registry.end()) continue;
-    for (const topo::Neighbor& n :
-         world.graph.neighbors(world.graph.id_of(asn))) {
-      auto b = world.as_registry.find(world.graph.asn_of(n.id));
-      if (b == world.as_registry.end() || a->second == b->second) continue;
-      if (a->second.raw() < b->second.raw()) {
-        ++border_links[{a->second, b->second}];
-      }
-    }
-  }
-  ASSERT_FALSE(border_links.empty());
-  auto thinnest = border_links.begin();
-  for (auto it = border_links.begin(); it != border_links.end(); ++it) {
-    if (it->second < thinnest->second) thinnest = it;
-  }
-
-  Report report = engine.run(
-      parse("seed 3\ndepeer " + thinnest->first.first.to_string() + " " +
-            thinnest->first.second.to_string() + "\n"),
-      5);
+  InternetFixture f{1.0};
+  WhatIfEngine engine{f.pipeline, f.world.graph, f.world.as_registry, f.ribs};
+  Report report = engine.run(thinnest_depeer(f.world), 5);
   EXPECT_GT(report.apply.edges_removed, 0u);
   EXPECT_GT(report.memo.shards_kept, 0u)
       << "a single de-peering rebuilt every country's shard";
@@ -128,6 +141,27 @@ TEST(WhatIfEngine, SingleDepeerReusesUntouchedCountryMemos) {
   EXPECT_EQ(report.memo.shards_kept + report.memo.shards_rebuilt,
             report.countries_total);
   EXPECT_LT(report.shifts.size(), report.countries_total);
+}
+
+TEST(WhatIfEngine, MemoAssistedCensusMatchesColdLoadOfEditedWorld) {
+  // The memo-assisted counterfactual must be the census a cold load of
+  // the edited collection computes: a kept memo that should have been
+  // evicted shows up here as a missing or stale shift.
+  InternetFixture f{0.5};
+  WhatIfEngine engine{f.pipeline, f.world.graph, f.world.as_registry, f.ribs};
+  const Scenario s = thinnest_depeer(f.world);
+  Report got = engine.run(s, 10);
+  ASSERT_GT(got.memo.memos_kept, 0u);
+
+  ApplyResult edited = apply(s, f.world.graph, f.world.as_registry, f.ribs);
+  core::Pipeline cold{f.world.geo_db, f.world.vps, f.world.asn_registry,
+                      f.world.graph, config_for(f.world)};
+  cold.load(edited.ribs);
+  Report want = build_report(s, edited.stats, got.memo, engine.baseline(),
+                             cold.all_countries(), 10);
+  ASSERT_FALSE(want.shifts.empty());
+  EXPECT_EQ(serve::render_whatif_json(got, 1),
+            serve::render_whatif_json(want, 1));
 }
 
 TEST(WhatIfEngine, CounterfactualBitIdenticalAcrossThreadCounts) {
