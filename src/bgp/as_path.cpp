@@ -1,7 +1,6 @@
 #include "bgp/as_path.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "bgp/line_parse.hpp"
 #include "util/strings.hpp"
@@ -22,12 +21,18 @@ AsPath AsPath::without_adjacent_duplicates() const {
 }
 
 bool AsPath::has_nonadjacent_duplicate() const {
-  // Check on the prepend-collapsed path so "A A B" is not a loop but
-  // "A B A" is.
-  AsPath collapsed = without_adjacent_duplicates();
-  std::unordered_set<Asn> seen;
-  for (Asn a : collapsed.hops_) {
-    if (!seen.insert(a).second) return true;
+  // Judged on the prepend-collapsed path, so "A A B" is not a loop but
+  // "A B A" is, without building that path: compare each run's AS with
+  // every hop after the run ends. Paths are a few hops long, so the
+  // quadratic scan beats any set and allocates nothing.
+  const std::size_t n = hops_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && hops_[i - 1] == hops_[i]) continue;  // inside a run
+    std::size_t j = i + 1;
+    while (j < n && hops_[j] == hops_[i]) ++j;
+    for (; j < n; ++j) {
+      if (hops_[j] == hops_[i]) return true;
+    }
   }
   return false;
 }

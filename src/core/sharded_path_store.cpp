@@ -14,17 +14,6 @@ namespace georank::core {
 
 namespace {
 
-/// FNV-1a over the hop sequence — cheap, deterministic, and only used to
-/// pre-select interning candidates (full content compare decides).
-std::uint64_t hash_hops(std::span<const bgp::Asn> hops) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  for (bgp::Asn hop : hops) {
-    h ^= hop;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
   h ^= v;
   h *= 1099511628211ull;
@@ -37,33 +26,13 @@ ShardedPathStore::ShardedPathStore(
   rebuild(paths, threads);
 }
 
-sanitize::PathHandle ShardedPathStore::intern(std::span<const bgp::Asn> hops) {
-  // hash(hops) pre-selects candidates, content compare against the arena
-  // decides, first occurrence appends.
-  std::vector<sanitize::PathHandle>& bucket = interned_[hash_hops(hops)];
-  for (const sanitize::PathHandle& cand : bucket) {
-    if (cand.length == hops.size() &&
-        std::equal(hops.begin(), hops.end(), arena_.begin() + cand.offset)) {
-      return cand;
-    }
-  }
-  const sanitize::PathHandle handle{static_cast<std::uint32_t>(arena_.size()),
-                                    static_cast<std::uint32_t>(hops.size())};
-  arena_.insert(arena_.end(), hops.begin(), hops.end());
-  bucket.push_back(handle);
-  ++unique_paths_;
-  return handle;
-}
-
 bool ShardedPathStore::compact_if_sparse(
     std::span<const sanitize::SanitizedPath> paths) {
   // A fresh build never trips this (each interned path is some row's),
   // so the arena only outgrows the rule by accumulating paths that
   // earlier rebuilds' rows used and no current row does.
-  if (arena_.size() <= 2 * live_hops_) return false;
-  arena_.clear();
+  if (interned_.arena_size() <= 2 * live_hops_) return false;
   interned_.clear();
-  unique_paths_ = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     handles_[i] = intern(paths[i].path.hops());
   }
@@ -94,7 +63,7 @@ ShardedPathStore::RebuildStats ShardedPathStore::rebuild(
   handles_.clear();
   handles_.reserve(n);
   live_hops_ = 0;
-  if (interned_.empty()) interned_.reserve(n);
+  if (interned_.size() == 0) interned_.reserve(n);
   for (const sanitize::SanitizedPath& row : paths) {
     handles_.push_back(intern(row.path.hops()));
     live_hops_ += row.path.size();
@@ -327,7 +296,7 @@ ShardedPathStore::RebuildStats ShardedPathStore::regather(
   // Appending to (or compacting) the arena may have reallocated it;
   // point every shard (kept and rebuilt alike) at the current buffer.
   RebuildStats result;
-  const bgp::Asn* arena = arena_.data();
+  const bgp::Asn* arena = interned_.arena();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s].arena_ = arena;
     result.shards_kept += kept[s];
@@ -345,7 +314,6 @@ ShardedPathStore::RebuildStats ShardedPathStore::regather(
 
 ShardedPathStore ShardedPathStore::clone() const {
   ShardedPathStore copy;
-  copy.arena_ = arena_;
   copy.interned_ = interned_;
   copy.handles_ = handles_;
   copy.live_hops_ = live_hops_;
@@ -355,10 +323,9 @@ ShardedPathStore ShardedPathStore::clone() const {
   copy.prefix_countries_ = prefix_countries_;
   copy.vp_countries_ = vp_countries_;
   copy.size_ = size_;
-  copy.unique_paths_ = unique_paths_;
   // The copied shards still borrow the ORIGINAL arena; re-point them at
   // the copy's own buffer so the clone is self-contained.
-  const bgp::Asn* arena = copy.arena_.data();
+  const bgp::Asn* arena = copy.interned_.arena();
   for (PathShard& sh : copy.shards_) sh.arena_ = arena;
   return copy;
 }

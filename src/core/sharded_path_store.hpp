@@ -10,10 +10,11 @@
 // Build is two-phase:
 //
 //   1. Hop interning is a single deterministic pass over the input in
-//      row order (FNV-1a bucket, full content compare): the propagation
-//      process makes paths massively redundant (every VP behind the same
-//      upstream sees the same tail), so each distinct hop sequence is
-//      stored once and rows carry 8-byte handles.
+//      row order (sanitize::PathInterner: open addressing, full content
+//      compare): the propagation process makes paths massively redundant
+//      (every VP behind the same upstream sees the same tail), so each
+//      distinct hop sequence is stored once and rows carry 8-byte
+//      handles.
 //   2. Shard assignment marks each row's target shard(s) sequentially
 //      (a row lands in its prefix country's shard and, if different,
 //      its VP country's shard; invalid codes never create shards), then
@@ -157,22 +158,22 @@ class ShardedPathStore {
 
   // Interning accounting (shared dictionary; bench/scale reports these).
   [[nodiscard]] std::size_t unique_path_count() const noexcept {
-    return unique_paths_;
+    return interned_.size();
   }
   [[nodiscard]] std::size_t arena_hop_count() const noexcept {
-    return arena_.size();
+    return interned_.arena_size();
   }
 
  private:
-  /// Shared interned-hop dictionary all shards' handles index into.
-  /// Append-only across rebuilds so previously issued handles stay valid.
-  std::vector<bgp::Asn> arena_;
-  /// Interning index over arena_ (hash bucket -> candidate handles),
-  /// retained so rebuilds re-intern against the existing dictionary.
-  std::unordered_map<std::uint64_t, std::vector<sanitize::PathHandle>> interned_;
-  /// Interns one path: the existing handle for an equal hop sequence,
-  /// else a fresh one appended to the arena.
-  sanitize::PathHandle intern(std::span<const bgp::Asn> hops);
+  /// Shared interned-hop dictionary all shards' handles index into
+  /// (its arena). Append-only across rebuilds so previously issued
+  /// handles stay valid, and retained so rebuilds re-intern against it.
+  sanitize::PathInterner interned_;
+  /// Interns one path: the handle of an equal hop sequence, else of a
+  /// fresh one appended to the arena.
+  sanitize::PathHandle intern(std::span<const bgp::Asn> hops) {
+    return interned_.handle(interned_.intern(hops));
+  }
   /// Compacts the dictionary when it holds more than twice the live
   /// rows' hops (re-interning every row of `paths`); true if it did.
   bool compact_if_sparse(std::span<const sanitize::SanitizedPath> paths);
@@ -202,7 +203,6 @@ class ShardedPathStore {
   std::vector<geo::CountryCode> prefix_countries_;
   std::vector<geo::CountryCode> vp_countries_;
   std::size_t size_ = 0;
-  std::size_t unique_paths_ = 0;
 };
 
 }  // namespace georank::core

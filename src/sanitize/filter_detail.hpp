@@ -1,48 +1,90 @@
 // Shared internals of the batch and incremental sanitizers.
 //
-// PathSanitizer::run and IncrementalSanitizer both drive the SAME
-// per-day filter loop (filter_day) over the SAME global state
+// PathSanitizer::run and IncrementalSanitizer::run_full are one function
+// (run_collection), and every run drives the SAME per-entry decision
+// (classify) and per-day loop (filter_day) over the SAME global state
 // (stability counts, clique, prefix geolocation, covered set, dedup),
 // so an incremental run that re-filters only the changed suffix of the
 // collection produces rows identical to a from-scratch batch run by
 // construction — the bit-identity invariant the live pipeline publishes
 // under. Nothing here is part of the public sanitize API.
+//
+// Dedup identity. An accepted entry is kept once per distinct (VP,
+// prefix, cleaned path). The cleaned path enters the key as its id in a
+// PathInterner (sanitize/path_view.hpp), which compares content exactly,
+// so two keys are equal iff their hop sequences are; an AS_SET entry is
+// rejected before dedup, so no mark beside the hops can tell two paths
+// apart. The key is trivially copyable, and the set is a flat
+// open-addressing table, so dedup allocates nothing per entry. The ids are only
+// meaningful against the interner that issued them: a DedupSet and its
+// PathInterner always travel together (FilterState, and the incremental
+// sanitizer's memo).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "bgp/route.hpp"
 #include "geo/prefix_geolocator.hpp"
 #include "geo/vp_geolocator.hpp"
 #include "sanitize/asn_registry.hpp"
 #include "sanitize/path_sanitizer.hpp"
+#include "sanitize/path_view.hpp"
 
 namespace georank::sanitize::detail {
 
 /// Dedup identity of an accepted entry: distinct (VP, prefix, cleaned
-/// path). First occurrence wins; later ones count as duplicates_merged.
+/// path), the path named by its PathInterner id. First occurrence wins;
+/// later ones count as duplicates_merged.
 struct DedupKey {
   bgp::VpId vp;
   bgp::Prefix prefix;
-  std::string path;
+  std::uint32_t path = 0;
   bool operator==(const DedupKey&) const = default;
 };
 
-struct DedupHash {
-  std::size_t operator()(const DedupKey& k) const noexcept {
-    std::size_t h = bgp::VpIdHash{}(k.vp);
-    h ^= bgp::PrefixHash{}(k.prefix) + 0x9e3779b9u + (h << 6) + (h >> 2);
-    h ^= std::hash<std::string>{}(k.path) + 0x9e3779b9u + (h << 6) + (h >> 2);
-    return h;
-  }
-};
+/// Set of DedupKeys: open addressing with linear probing over one flat
+/// table kept at most half full (live keys plus tombstones), so neither
+/// a lookup nor an insert allocates. Erase leaves a tombstone, because
+/// the incremental sanitizer erases keys (run_fast's rewind,
+/// commit_delta); an insert that would pass the load limit rebuilds the
+/// table, dropping the tombstones.
+class DedupSet {
+ public:
+  /// Sizes the table for `keys` keys at a load factor of one half.
+  void reserve(std::size_t keys);
+  /// True when `key` was not in the set (it is now).
+  bool insert(const DedupKey& key);
+  [[nodiscard]] bool contains(const DedupKey& key) const noexcept;
+  /// True when `key` was in the set (it is not now).
+  bool erase(const DedupKey& key) noexcept;
 
-using DedupSet = std::unordered_set<DedupKey, DedupHash>;
+  /// Calls `f(key)` for every key, in table order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const DedupKey& slot : slots_) {
+      if (slot.path < kTombstone) f(slot);
+    }
+  }
+
+ private:
+  // Slot states ride in the path id, which is a dense interner id and
+  // never reaches these values.
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  static constexpr std::uint32_t kTombstone = kEmpty - 1;
+
+  /// Slot of `key`, or of the empty slot ending its probe sequence.
+  [[nodiscard]] std::size_t probe(const DedupKey& key) const noexcept;
+  void rehash(std::size_t slots);
+
+  std::vector<DedupKey> slots_;
+  std::size_t size_ = 0;  // live keys
+  std::size_t used_ = 0;  // live keys + tombstones
+};
 
 /// How many distinct dump days each prefix appears in. `last_day`
 /// collapses repeats within one day (and adjacent snapshots sharing a
@@ -82,30 +124,85 @@ inline void add_day_presence(DayCounts& counts, const bgp::RibSnapshot& snap) {
   return options.stability_days ? options.stability_days : day_count;
 }
 
+using CoveredSet = std::unordered_set<bgp::Prefix, bgp::PrefixHash>;
+
 /// Everything the per-entry filter loop reads but never writes.
 struct FilterWorld {
   const DayCounts* day_counts = nullptr;
   std::size_t need = 0;
   std::span<const bgp::Asn> clique;
   const geo::PrefixGeoResult* prefix_geo = nullptr;
-  const std::unordered_set<bgp::Prefix, bgp::PrefixHash>* covered = nullptr;
+  const CoveredSet* covered = nullptr;
 };
 
-/// Sequential filter state threaded across days: the dedup set and the
-/// per-category sample budget. Capturing this at a day boundary is what
-/// lets the incremental sanitizer resume mid-collection.
+/// Sequential filter state threaded across days: the dedup set, the
+/// interner its path ids come from, and the per-category sample budget.
+/// Capturing this at a day boundary is what lets the incremental
+/// sanitizer resume mid-collection.
 struct FilterState {
+  PathInterner paths;
   DedupSet dedup;
   std::array<std::size_t, 9> sample_counts{};
 };
 
-/// Runs the paper's per-entry filter precedence over one day's entries
-/// (or any slice of them: the delta path filters single entries),
-/// appending accepted rows, stats and audit samples to `result`.
+/// One entry's filter decision: the first rule it fails (kAccepted when
+/// it passes all of them) and, for an accepted entry, the countries of
+/// its VP and prefix.
+struct Verdict {
+  FilterReason reason = FilterReason::kAccepted;
+  geo::CountryCode vp_country;
+  geo::CountryCode prefix_country;
+};
+
+/// The paper's per-entry filter precedence (path_sanitizer.hpp), as a
+/// pure function of the entry and the world. For an accepted entry it
+/// also writes the cleaned path into `cleaned` (overwritten): route
+/// servers stripped and prepending collapsed in one pass. The cleaned
+/// path may be empty (every hop was a route server); such an entry is
+/// accepted but emits no row.
+[[nodiscard]] Verdict classify(const bgp::VpId& vp, const bgp::Prefix& prefix,
+                               const bgp::AsPath& path, const FilterWorld& world,
+                               const geo::VpGeolocator& vps,
+                               const AsnRegistry& registry,
+                               const SanitizerOptions& options,
+                               std::vector<bgp::Asn>& cleaned);
+
+/// The SanitizeStats counter that `reason` increments (kAccepted ->
+/// accepted).
+[[nodiscard]] std::size_t& counter(SanitizeStats& stats,
+                                   FilterReason reason) noexcept;
+
+/// classify, then dedup, then emit, over one day's entries (or any slice
+/// of them), appending accepted rows, stats and audit samples to
+/// `result`. An accepted entry allocates only its emitted row.
 void filter_day(int day, std::span<const bgp::RouteEntry> entries,
                 const FilterWorld& world, const geo::VpGeolocator& vps,
                 const AsnRegistry& registry, const SanitizerOptions& options,
                 FilterState& state, SanitizeResult& result);
+
+/// What a full run leaves beside its result, for the incremental
+/// sanitizer's memo: the sequential state at the final-day boundary and
+/// the global state after the last day.
+struct RunCapture {
+  DayCounts head_counts;  // day presence over days [0, N-1)
+  SanitizeStats head_stats;
+  std::array<std::size_t, 9> head_sample_counts{};
+  std::vector<RejectedSample> head_samples;
+  std::size_t head_rows = 0;
+  DayCounts counts;  // day presence over all N days
+  std::size_t need = 0;
+  CoveredSet covered;
+  FilterState state;  // after the final day
+};
+
+/// The whole sanitizer over a collection (PathSanitizer::run): stability
+/// counts, the clique (explicit or inferred), prefix geolocation, the
+/// covered set and the per-day filter loop. With `capture` it also
+/// fills the memo above; `capture` must be null on an empty collection.
+[[nodiscard]] SanitizeResult run_collection(
+    const bgp::RibCollection& ribs, const geo::GeoDatabase& geo_db,
+    const geo::VpGeolocator& vps, const AsnRegistry& registry,
+    const SanitizerOptions& options, RunCapture* capture = nullptr);
 
 /// Content digest of one day's raw entries (order-sensitive: entry order
 /// feeds dedup precedence). Used to prove days unchanged between runs.

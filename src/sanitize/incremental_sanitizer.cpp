@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
-
-#include "infer/clique.hpp"
-#include "infer/transit_degree.hpp"
 
 namespace georank::sanitize {
 
@@ -80,99 +76,47 @@ void IncrementalSanitizer::invalidate() noexcept {
   memo_valid_ = false;
   pending_ready_ = false;
   day_digests_.clear();
-  head_counts_.clear();
-  head_samples_.clear();
-  dedup_post_.clear();
-  counts_.clear();
-  covered_.clear();
+  // Release the flat dedup tables rather than keep their capacity beside
+  // the next run's.
+  memo_ = {};
+  path_refs_ = {};
+  live_paths_ = 0;
   delta_ready_ = false;
-  head_rows_ = 0;
 }
 
 void IncrementalSanitizer::drop_delta_memo() noexcept {
-  counts_ = {};
+  memo_.counts = {};
   delta_ready_ = false;
+}
+
+void IncrementalSanitizer::retain(std::uint32_t id) {
+  if (id >= path_refs_.size()) path_refs_.resize(memo_.state.paths.size());
+  if (path_refs_[id]++ == 0) ++live_paths_;
+}
+
+void IncrementalSanitizer::release(std::uint32_t id) noexcept {
+  if (--path_refs_[id] == 0) --live_paths_;
 }
 
 SanitizeResult IncrementalSanitizer::run_full(const bgp::RibCollection& ribs,
                                               Outcome* outcome) {
   invalidate();
-  SanitizeResult result;
   const std::size_t n = ribs.days.size();
   // The fast path needs an explicit clique: an inferred one reads the
   // final day's stable paths, so there is no day boundary to memoize.
   const bool capture = !options_.clique.empty() && n > 0;
-
-  // ---- Stability counts, with the head (days [0, N-1)) captured. ----
-  detail::DayCounts counts;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    detail::add_day_presence(counts, ribs.days[i]);
-  }
-  if (capture) head_counts_ = counts;
-  if (n > 0) detail::add_day_presence(counts, ribs.days.back());
-  need_ = detail::stability_need(options_, n);
-  auto stable = [&](const bgp::Prefix& p) { return counts.at(p).count >= need_; };
-
-  // ---- Clique: explicit or inferred from the stable, loop-free paths
-  // (mirrors PathSanitizer::run exactly). ----
-  std::vector<bgp::Asn> clique = options_.clique;
-  if (clique.empty()) {
-    infer::TransitDegree degrees;
-    infer::ObservedAdjacency adjacency;
-    for (const bgp::RibSnapshot& snap : ribs.days) {
-      for (const bgp::RouteEntry& e : snap.entries) {
-        if (!stable(e.prefix)) continue;
-        if (e.path.has_as_set()) continue;
-        bgp::AsPath collapsed = e.path.without_adjacent_duplicates();
-        if (collapsed.has_nonadjacent_duplicate()) continue;
-        degrees.add_path(collapsed);
-        adjacency.add_path(collapsed);
-      }
-    }
-    clique = infer::infer_clique(degrees, adjacency);
-  }
-  result.clique = clique;
-
-  // ---- Prefix geolocation over the stable announced set. ----
-  std::vector<bgp::Prefix> announced;
-  announced.reserve(counts.size());
-  for (const auto& [p, days] : counts) {
-    if (days.count >= need_) announced.push_back(p);
-  }
-  geo::PrefixGeolocator geolocator{*geo_db_, options_.geo_threshold};
-  result.prefix_geo = geolocator.run(announced);
-
-  std::unordered_set<bgp::Prefix, bgp::PrefixHash> covered_set(
-      result.prefix_geo.covered.begin(), result.prefix_geo.covered.end());
-
-  // ---- Per-entry filtering; snapshot the sequential state right before
-  // the final day — that boundary is where run_fast() resumes. ----
-  detail::FilterWorld world{&counts, need_, clique, &result.prefix_geo,
-                            &covered_set};
-  detail::FilterState state;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (capture && i + 1 == n) {
-      head_stats_ = result.stats;
-      head_sample_counts_ = state.sample_counts;
-      head_samples_ = result.samples;
-      head_rows_ = result.paths.size();
-    }
-    detail::filter_day(ribs.days[i].day, ribs.days[i].entries, world, *vps_,
-                       *registry_, options_, state, result);
-  }
+  SanitizeResult result = detail::run_collection(
+      ribs, *geo_db_, *vps_, *registry_, options_, capture ? &memo_ : nullptr);
 
   if (capture) {
     day_digests_.reserve(n);
     for (const bgp::RibSnapshot& snap : ribs.days) {
       day_digests_.push_back(detail::day_digest(snap));
     }
-    stable_digest_ = detail::stable_set_digest(counts, need_);
-    // The dedup set is memoized POST-run; run_fast() derives the
-    // final-day boundary from it on demand.
-    dedup_post_ = std::move(state.dedup);
+    stable_digest_ = detail::stable_set_digest(memo_.counts, memo_.need);
+    path_refs_.assign(memo_.state.paths.size(), 0);
+    memo_.state.dedup.for_each([&](const detail::DedupKey& key) { retain(key.path); });
     final_day_number_ = ribs.days.back().day;
-    counts_ = std::move(counts);
-    covered_ = std::move(covered_set);
     delta_ready_ = options_.samples_per_category == 0 &&
                    final_day_keyed_by_route(ribs);
     memo_valid_ = true;
@@ -189,7 +133,7 @@ SanitizeResult IncrementalSanitizer::run_full(const bgp::RibCollection& ribs,
 
 bool IncrementalSanitizer::can_fast_path(const bgp::RibCollection& ribs) {
   pending_ready_ = false;
-  if (!memo_valid_ || options_.clique.empty()) return false;
+  if (!memo_valid_ || options_.clique.empty() || paths_sparse()) return false;
   const std::size_t n = ribs.days.size();
   if (n == 0 || n != day_digests_.size()) return false;
   // The new final day must carry a later day number than the last head
@@ -201,9 +145,9 @@ bool IncrementalSanitizer::can_fast_path(const bgp::RibCollection& ribs) {
   // Merge the new final day into the head counts and require the stable
   // set to come out unchanged: that pins every head filtering decision
   // AND the announced set the cached PrefixGeoResult was computed over.
-  pending_counts_ = head_counts_;
+  pending_counts_ = memo_.head_counts;
   detail::add_day_presence(pending_counts_, ribs.days.back());
-  if (detail::stable_set_digest(pending_counts_, need_) != stable_digest_) {
+  if (detail::stable_set_digest(pending_counts_, memo_.need) != stable_digest_) {
     return false;
   }
   pending_final_digest_ = detail::day_digest(ribs.days.back());
@@ -218,17 +162,20 @@ SanitizeResult IncrementalSanitizer::run_fast(const bgp::RibCollection& ribs,
   pending_ready_ = false;
 
   const bgp::RibSnapshot& fin = ribs.days.back();
-  detail::FilterState state;
-  state.dedup = std::move(dedup_post_);
+  detail::FilterState& state = memo_.state;
   // Rewind the post-run dedup set to the final-day boundary by erasing
   // exactly the keys the old final day inserted — one per emitted suffix
   // row (a final-day entry whose key already existed was counted as a
-  // duplicate and emitted nothing). Must read previous.paths BEFORE the
-  // move below.
-  for (std::size_t i = head_rows_; i < previous.paths.size(); ++i) {
+  // duplicate and emitted nothing). A row's path id names its key; a
+  // path the interner lacks was never emitted from this memo and holds
+  // no key. Must read previous.paths BEFORE the move below.
+  for (std::size_t i = memo_.head_rows; i < previous.paths.size(); ++i) {
     const SanitizedPath& row = previous.paths[i];
-    state.dedup.erase(
-        detail::DedupKey{row.vp, row.prefix, row.path.to_string()});
+    const std::uint32_t id = state.paths.find(row.path.hops());
+    if (id != PathInterner::kNoId &&
+        state.dedup.erase(detail::DedupKey{row.vp, row.prefix, id})) {
+      release(id);
+    }
   }
   SanitizeResult result;
   result.clique = options_.clique;
@@ -236,23 +183,26 @@ SanitizeResult IncrementalSanitizer::run_fast(const bgp::RibCollection& ribs,
   // Rows are emitted day-major, so the previous result's head rows are a
   // prefix of `paths`; drop the old final day and keep the capacity.
   result.paths = std::move(previous.paths);
-  result.paths.resize(head_rows_);
-  result.stats = head_stats_;
-  result.samples = head_samples_;
-  state.sample_counts = head_sample_counts_;
+  result.paths.resize(memo_.head_rows);
+  result.stats = memo_.head_stats;
+  result.samples = memo_.head_samples;
+  state.sample_counts = memo_.head_sample_counts;
 
   // The stable set is unchanged, so the memoized covered set still
   // matches result.prefix_geo.
-  detail::FilterWorld world{&pending_counts_, need_, options_.clique,
-                            &result.prefix_geo, &covered_};
+  detail::FilterWorld world{&pending_counts_, memo_.need, options_.clique,
+                            &result.prefix_geo, &memo_.covered};
   detail::filter_day(fin.day, fin.entries, world, *vps_, *registry_, options_,
                      state, result);
 
-  // Re-arm the memo at the new final day.
-  dedup_post_ = std::move(state.dedup);
+  // Re-arm the memo at the new final day: each new final-day row holds
+  // the key it inserted.
+  for (std::size_t i = memo_.head_rows; i < result.paths.size(); ++i) {
+    retain(state.paths.find(result.paths[i].path.hops()));
+  }
   final_day_number_ = fin.day;
   day_digests_.back() = pending_final_digest_;
-  counts_ = std::move(pending_counts_);
+  memo_.counts = std::move(pending_counts_);
   delta_ready_ = options_.samples_per_category == 0 &&
                  final_day_keyed_by_route(ribs);
 
@@ -260,7 +210,7 @@ SanitizeResult IncrementalSanitizer::run_fast(const bgp::RibCollection& ribs,
     outcome->fast_path = true;
     outcome->days_reused = ribs.days.size() - 1;
     outcome->days_resanitized = 1;
-    outcome->rows_reused = head_rows_;
+    outcome->rows_reused = memo_.head_rows;
   }
   return result;
 }
@@ -270,7 +220,7 @@ std::optional<IncrementalSanitizer::DeltaPlan> IncrementalSanitizer::plan_delta(
     const SanitizeResult& current) const {
   if (!memo_valid_ || !delta_ready_ || options_.clique.empty() ||
       options_.samples_per_category != 0 || day != final_day_number_ ||
-      current.paths.size() < head_rows_) {
+      current.paths.size() < memo_.head_rows || paths_sparse()) {
     return std::nullopt;
   }
 
@@ -315,37 +265,42 @@ std::optional<IncrementalSanitizer::DeltaPlan> IncrementalSanitizer::plan_delta(
   plan.counts.reserve(tallies.size());
   // lint: ordered(per-prefix checks; plan.counts is applied per key)
   for (const auto& [prefix, t] : tallies) {
-    const auto it = counts_.find(prefix);
+    const auto it = memo_.counts.find(prefix);
     const detail::PrefixDays before =
-        it == counts_.end() ? detail::PrefixDays{0, day, 0} : it->second;
+        it == memo_.counts.end() ? detail::PrefixDays{0, day, 0} : it->second;
     const bool present = before.last_day == day && before.day_entries > 0;
     const std::uint32_t entries = present ? before.day_entries : 0;
     if (entries < t.olds) return std::nullopt;  // old entries the memo lacks
     const std::uint32_t after = entries - t.olds + t.news;
     const std::uint32_t head = before.count - (present ? 1u : 0u);
     const detail::PrefixDays patched{head + (after > 0 ? 1u : 0u), day, after};
-    if ((patched.count >= need_) != (before.count >= need_)) {
+    if ((patched.count >= memo_.need) != (before.count >= memo_.need)) {
       return std::nullopt;
     }
     scratch.emplace(prefix, patched);
     plan.counts.emplace_back(prefix, patched);
   }
 
-  // ---- Re-filter each changed key's old and new entry with the batch
-  // loop itself, against an empty dedup set: the memo then decides
-  // duplicates, because within a route-keyed final day a key's dedup
-  // identity can only collide with a head-day key or its own old one. ----
-  const detail::FilterWorld world{&scratch, need_, options_.clique,
-                                  &current.prefix_geo, &covered_};
-  const auto filter_one = [&](const bgp::RouteDelta& d, const bgp::AsPath& path,
-                              SanitizeResult& out) {
-    const bgp::RouteEntry entry{d.vp, d.prefix, path};
-    detail::FilterState state;
-    detail::filter_day(day, std::span<const bgp::RouteEntry>{&entry, 1}, world,
-                       *vps_, *registry_, options_, state, out);
+  // ---- Re-decide each changed key's old and new entry with the batch
+  // classifier; the memo decides duplicates, because within a
+  // route-keyed final day a key's dedup identity can only collide with a
+  // head-day key or its own old one. Paths are looked up, not interned:
+  // one the interner lacks is in no key. ----
+  const detail::FilterWorld world{&scratch, memo_.need, options_.clique,
+                                  &current.prefix_geo, &memo_.covered};
+  const detail::DedupSet& dedup = memo_.state.dedup;
+  const PathInterner& interned = memo_.state.paths;
+  std::vector<bgp::Asn> cleaned;
+  const auto classify = [&](const bgp::RouteDelta& d, const bgp::AsPath& path,
+                            SanitizeStats& entry_stats) {
+    const detail::Verdict v = detail::classify(d.vp, d.prefix, path, world, *vps_,
+                                               *registry_, options_, cleaned);
+    entry_stats.total = 1;
+    ++detail::counter(entry_stats, v.reason);
+    return v;
   };
   const std::span<const SanitizedPath> final_rows =
-      std::span<const SanitizedPath>{current.paths}.subspan(head_rows_);
+      std::span<const SanitizedPath>{current.paths}.subspan(memo_.head_rows);
   for (const bgp::RouteDelta* d : order) {
     const auto row = std::lower_bound(
         final_rows.begin(), final_rows.end(), *d,
@@ -356,21 +311,24 @@ std::optional<IncrementalSanitizer::DeltaPlan> IncrementalSanitizer::plan_delta(
         row != final_rows.end() && row->vp == d->vp && row->prefix == d->prefix;
     std::optional<detail::DedupKey> old_key;  // a final-day key it held
     if (d->old_path) {
-      SanitizeResult old_entry;
-      filter_one(*d, *d->old_path, old_entry);
-      if (!remove_counts(plan.stats, old_entry.stats)) return std::nullopt;
-      if (!old_entry.paths.empty()) {
-        detail::DedupKey key{d->vp, d->prefix,
-                             old_entry.paths.front().path.to_string()};
+      SanitizeStats old_stats;
+      const detail::Verdict v = classify(*d, *d->old_path, old_stats);
+      if (!remove_counts(plan.stats, old_stats)) return std::nullopt;
+      if (v.reason == FilterReason::kAccepted && !cleaned.empty()) {
+        const detail::DedupKey key{d->vp, d->prefix, interned.find(cleaned)};
+        if (key.path == PathInterner::kNoId) return std::nullopt;
         if (has_row) {
-          if (row->path != old_entry.paths.front().path) return std::nullopt;
+          const std::span<const bgp::Asn> hops = row->path.hops();
+          if (!std::equal(hops.begin(), hops.end(), cleaned.begin(), cleaned.end())) {
+            return std::nullopt;
+          }
           plan.erase.push_back(static_cast<std::uint32_t>(
-              head_rows_ + static_cast<std::size_t>(row - final_rows.begin())));
+              memo_.head_rows + static_cast<std::size_t>(row - final_rows.begin())));
           old_key = key;
-          plan.dedup_erase.push_back(std::move(key));
+          plan.dedup_erase.push_back(key);
         } else {
           // No row: the old entry repeated a head-day key.
-          if (!dedup_post_.contains(key) ||
+          if (!dedup.contains(key) ||
               plan.stats.duplicates_merged == 0) {
             return std::nullopt;
           }
@@ -383,17 +341,19 @@ std::optional<IncrementalSanitizer::DeltaPlan> IncrementalSanitizer::plan_delta(
       return std::nullopt;
     }
     if (d->new_path) {
-      SanitizeResult new_entry;
-      filter_one(*d, *d->new_path, new_entry);
-      add_counts(plan.stats, new_entry.stats);
-      if (!new_entry.paths.empty()) {
-        detail::DedupKey key{d->vp, d->prefix,
-                             new_entry.paths.front().path.to_string()};
-        if (key != old_key && dedup_post_.contains(key)) {
+      SanitizeStats new_stats;
+      const detail::Verdict v = classify(*d, *d->new_path, new_stats);
+      add_counts(plan.stats, new_stats);
+      if (v.reason == FilterReason::kAccepted && !cleaned.empty()) {
+        const detail::DedupKey key{d->vp, d->prefix, interned.find(cleaned)};
+        if (key.path != PathInterner::kNoId && key != old_key &&
+            dedup.contains(key)) {
           ++plan.stats.duplicates_merged;  // the head-day key wins
         } else {
-          plan.dedup_insert.push_back(std::move(key));
-          plan.insert.push_back(std::move(new_entry.paths.front()));
+          plan.insert.push_back(SanitizedPath{
+              d->vp, v.vp_country, d->prefix, v.prefix_country,
+              current.prefix_geo.weight_of(d->prefix),
+              bgp::AsPath{std::vector<bgp::Asn>(cleaned.begin(), cleaned.end())}});
         }
       }
     }
@@ -408,7 +368,7 @@ IncrementalSanitizer::RowEdit IncrementalSanitizer::commit_delta(
   RowEdit edit;
   std::vector<SanitizedPath>& paths = result.paths;
   std::vector<SanitizedPath> tail;
-  tail.reserve(paths.size() - head_rows_ - plan.erase.size() +
+  tail.reserve(paths.size() - memo_.head_rows - plan.erase.size() +
                plan.insert.size());
   std::size_t next_erase = 0;
   std::size_t next_insert = 0;
@@ -418,11 +378,11 @@ IncrementalSanitizer::RowEdit IncrementalSanitizer::commit_delta(
             route_less(plan.insert[next_insert].vp,
                        plan.insert[next_insert].prefix, row->vp, row->prefix))) {
       edit.inserted.push_back(
-          static_cast<std::uint32_t>(head_rows_ + tail.size()));
+          static_cast<std::uint32_t>(memo_.head_rows + tail.size()));
       tail.push_back(std::move(plan.insert[next_insert++]));
     }
   };
-  for (std::size_t i = head_rows_; i < paths.size(); ++i) {
+  for (std::size_t i = memo_.head_rows; i < paths.size(); ++i) {
     add_inserted_before(&paths[i]);
     if (next_erase < plan.erase.size() && plan.erase[next_erase] == i) {
       ++next_erase;
@@ -431,23 +391,30 @@ IncrementalSanitizer::RowEdit IncrementalSanitizer::commit_delta(
     tail.push_back(std::move(paths[i]));
   }
   add_inserted_before(nullptr);
-  paths.resize(head_rows_);
+  paths.resize(memo_.head_rows);
   paths.insert(paths.end(), std::make_move_iterator(tail.begin()),
                std::make_move_iterator(tail.end()));
   edit.erased = std::move(plan.erase);
   result.stats = plan.stats;
 
   // Re-arm the memo at the patched final day. Erase before insert: a
-  // key whose path changed but cleans to the same path is in both.
-  for (const detail::DedupKey& key : plan.dedup_erase) dedup_post_.erase(key);
-  for (detail::DedupKey& key : plan.dedup_insert) {
-    dedup_post_.insert(std::move(key));
+  // key whose path changed but cleans to the same path is in both. Each
+  // added row inserts its key, interning its path.
+  for (const detail::DedupKey& key : plan.dedup_erase) {
+    if (memo_.state.dedup.erase(key)) release(key.path);
+  }
+  for (const std::uint32_t row : edit.inserted) {
+    const SanitizedPath& added = paths[row];
+    const std::uint32_t id = memo_.state.paths.intern(added.path.hops());
+    if (memo_.state.dedup.insert(detail::DedupKey{added.vp, added.prefix, id})) {
+      retain(id);
+    }
   }
   for (const auto& [prefix, days] : plan.counts) {
     if (days.count == 0) {
-      counts_.erase(prefix);
+      memo_.counts.erase(prefix);
     } else {
-      counts_[prefix] = days;
+      memo_.counts[prefix] = days;
     }
   }
 

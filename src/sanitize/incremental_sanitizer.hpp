@@ -27,21 +27,33 @@
 // rows (rows are emitted day-major, so they are a prefix of `paths`) and
 // re-filters the whole final day.
 //
+// The interner memo. Dedup keys name cleaned paths by PathInterner id
+// (sanitize/filter_detail.hpp), so the memo keeps the interner beside
+// the dedup set, and core::Pipeline::Checkpoint copies the two with the
+// rest of this object. run_fast() rewinds by id lookup; plan_delta()
+// looks ids up without interning (a path the interner lacks is in no
+// key), and commit_delta() interns the rows it adds. Ids are never
+// reclaimed in between, so the memo counts the keys per id: once the
+// interner holds more than twice the ids some key names, can_fast_path()
+// and plan_delta() decline, and the caller's fallback run_full() starts
+// a fresh interner. A long live run therefore stays bounded.
+//
 // The delta path (plan_delta() + commit_delta(), behind
 // core::Pipeline::apply_delta) handles exactly those bursts without the
 // collection: the caller names each changed (VP, prefix) key's old and
-// new entry, and only those entries are re-filtered. It needs a final
-// day keyed by route — strictly (VP, prefix)-sorted, as RibState
-// snapshots are — so each key has at most one final-day entry and one
-// row; then a dedup key can only collide with a head-day key (head-day
-// keys still win) or with the same key's old entry. Its proofs: the
-// fast-path preconditions (explicit clique, a memo), no audit samples
-// (their budget follows encounter order), and an unchanged stable set,
-// which a delta can only break where a prefix's final-day presence
-// (the per-prefix `day_entries` tally) crosses the threshold. It also
-// cross-checks every old entry against the memo — an old entry that
-// emitted a row must find that row, one that did not must find none —
-// and declines on any mismatch, leaving the caller to fall back.
+// new entry, and only those entries are re-decided (detail::classify).
+// It needs a final day keyed by route — strictly (VP, prefix)-sorted,
+// as RibState snapshots are — so each key has at most one final-day
+// entry and one row; then a dedup key can only collide with a head-day
+// key (head-day keys still win) or with the same key's old entry. Its
+// proofs: the fast-path preconditions (explicit clique, a memo), no
+// audit samples (their budget follows encounter order), and an
+// unchanged stable set, which a delta can only break where a prefix's
+// final-day presence (the per-prefix `day_entries` tally) crosses the
+// threshold. It also cross-checks every old entry against the memo —
+// an old entry that emitted a row must find that row, one that did not
+// must find none — and declines on any mismatch, leaving the caller to
+// fall back.
 //
 // The output is identical to
 // PathSanitizer::run over the same collection by construction — the same
@@ -61,11 +73,9 @@
 // across them).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -120,8 +130,9 @@ class IncrementalSanitizer {
     /// Rows it adds, in (VP, prefix) order.
     std::vector<SanitizedPath> insert;
     SanitizeStats stats;  // the result's stats after the delta
+    /// Dedup keys of the erased rows. Each inserted row's key is
+    /// interned and inserted by commit_delta.
     std::vector<detail::DedupKey> dedup_erase;
-    std::vector<detail::DedupKey> dedup_insert;
     /// Day counts of each touched prefix after the delta.
     std::vector<std::pair<bgp::Prefix, detail::PrefixDays>> counts;
   };
@@ -164,12 +175,20 @@ class IncrementalSanitizer {
   /// invalid. Lets callers cache per-row derivations at the same
   /// boundary the fast path splices at.
   [[nodiscard]] std::size_t memo_head_rows() const noexcept {
-    return memo_valid_ ? head_rows_ : 0;
+    return memo_valid_ ? memo_.head_rows : 0;
   }
 
   [[nodiscard]] const SanitizerOptions& options() const noexcept {
     return options_;
   }
+
+  /// Paths the memo's interner holds, and how many of them a memoized
+  /// dedup key names. The fast and delta paths decline once the first
+  /// passes twice the second (see the header comment).
+  [[nodiscard]] std::size_t interned_paths() const noexcept {
+    return memo_.state.paths.size();
+  }
+  [[nodiscard]] std::size_t live_paths() const noexcept { return live_paths_; }
 
  private:
   const geo::GeoDatabase* geo_db_;
@@ -180,28 +199,35 @@ class IncrementalSanitizer {
   // ---- Memo of the last sanitized collection (valid_ gates all). ----
   bool memo_valid_ = false;
   std::vector<std::uint64_t> day_digests_;  // one per day, order-sensitive
-  std::size_t need_ = 0;                    // stability threshold used
-  detail::DayCounts head_counts_;           // day presence over days [0, N-1)
-  detail::DayCounts counts_;                // day presence over ALL N days
   std::uint64_t stable_digest_ = 0;         // stable set over ALL N days
-  // prefix_geo.covered as a set. The stable set pins it, so it outlives
-  // every fast and delta run until the next full run.
-  std::unordered_set<bgp::Prefix, bgp::PrefixHash> covered_;
+  // What the last full run captured, kept current by the fast and delta
+  // runs: the sequential filter state right before the final day
+  // (head_*), day presence over days [0, N-1) and over all N days, the
+  // stability threshold, and prefix_geo.covered as a set (the stable set
+  // pins it, so it outlives every fast and delta run until the next full
+  // run). memo_.state is the dedup set and its interner AFTER the final
+  // day: run_fast() derives the final-day boundary from it by erasing
+  // exactly the keys the old final day's rows inserted; plan_delta()
+  // reads it as is.
+  detail::RunCapture memo_;
+  // Per interned path id, the number of memoized dedup keys naming it.
+  // Ids whose count fell to 0 stay interned until the next run_full();
+  // paths_sparse() bounds them.
+  std::vector<std::uint32_t> path_refs_;
+  std::size_t live_paths_ = 0;  // ids with a non-zero count
   // The final day is keyed by route (strictly (VP, prefix)-sorted, with
   // a later day number than the day before it) and no samples are kept:
   // the delta path's structural preconditions.
   bool delta_ready_ = false;
-  // Sequential filter state captured at the final-day boundary: what a
-  // batch run holds right before filtering the last day.
-  SanitizeStats head_stats_;
-  std::array<std::size_t, 9> head_sample_counts_{};
-  std::vector<RejectedSample> head_samples_;
-  std::size_t head_rows_ = 0;
-  // Dedup set AFTER the last run (post the final day). run_fast()
-  // derives the final-day boundary from it by erasing exactly the keys
-  // the old final day's rows inserted; plan_delta() reads it as is.
-  detail::DedupSet dedup_post_;
   int final_day_number_ = 0;  // day number of the memoized final day
+
+  void retain(std::uint32_t id);
+  void release(std::uint32_t id) noexcept;
+  /// More interned paths than twice the live ones: the fast and delta
+  /// paths decline, so the caller's run_full() starts a fresh interner.
+  [[nodiscard]] bool paths_sparse() const noexcept {
+    return memo_.state.paths.size() > 2 * live_paths_;
+  }
 
   // ---- Staged by can_fast_path() for the next run_fast(). ----
   bool pending_ready_ = false;

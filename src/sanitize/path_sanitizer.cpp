@@ -1,10 +1,7 @@
 #include "sanitize/path_sanitizer.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "infer/clique.hpp"
-#include "infer/transit_degree.hpp"
 #include "sanitize/filter_detail.hpp"
 
 namespace georank::sanitize {
@@ -47,57 +44,7 @@ PathSanitizer::PathSanitizer(const geo::GeoDatabase& geo_db,
     : geo_db_(&geo_db), vps_(&vps), registry_(&registry), options_(std::move(options)) {}
 
 SanitizeResult PathSanitizer::run(const bgp::RibCollection& ribs) const {
-  SanitizeResult result;
-
-  // ---- Stability: a prefix must appear in all snapshots (§3.1). ----
-  detail::DayCounts counts;
-  for (const bgp::RibSnapshot& snap : ribs.days) {
-    detail::add_day_presence(counts, snap);
-  }
-  const std::size_t need = detail::stability_need(options_, ribs.days.size());
-  auto stable = [&](const bgp::Prefix& p) { return counts.at(p).count >= need; };
-
-  // ---- Clique (for the poisoning filter): explicit or inferred from the
-  // stable, loop-free paths. ----
-  std::vector<bgp::Asn> clique = options_.clique;
-  if (clique.empty()) {
-    infer::TransitDegree degrees;
-    infer::ObservedAdjacency adjacency;
-    for (const bgp::RibSnapshot& snap : ribs.days) {
-      for (const bgp::RouteEntry& e : snap.entries) {
-        if (!stable(e.prefix)) continue;
-        if (e.path.has_as_set()) continue;  // ambiguous hops; excluded below too
-        bgp::AsPath collapsed = e.path.without_adjacent_duplicates();
-        if (collapsed.has_nonadjacent_duplicate()) continue;
-        degrees.add_path(collapsed);
-        adjacency.add_path(collapsed);
-      }
-    }
-    clique = infer::infer_clique(degrees, adjacency);
-  }
-  result.clique = clique;
-
-  // ---- Prefix geolocation over the stable announced set. ----
-  std::vector<bgp::Prefix> announced;
-  announced.reserve(counts.size());
-  for (const auto& [p, days] : counts) {
-    if (days.count >= need) announced.push_back(p);
-  }
-  geo::PrefixGeolocator geolocator{*geo_db_, options_.geo_threshold};
-  result.prefix_geo = geolocator.run(announced);
-
-  std::unordered_set<bgp::Prefix, bgp::PrefixHash> covered_set(
-      result.prefix_geo.covered.begin(), result.prefix_geo.covered.end());
-
-  // ---- Per-entry filtering, in the paper's precedence order. ----
-  detail::FilterWorld world{&counts, need, clique, &result.prefix_geo,
-                            &covered_set};
-  detail::FilterState state;
-  for (const bgp::RibSnapshot& snap : ribs.days) {
-    detail::filter_day(snap.day, snap.entries, world, *vps_, *registry_,
-                       options_, state, result);
-  }
-  return result;
+  return detail::run_collection(ribs, *geo_db_, *vps_, *registry_, options_);
 }
 
 }  // namespace georank::sanitize

@@ -16,6 +16,9 @@
 // list, when present) must outlive it. It is implicitly constructible
 // from a vector/span of SanitizedPath so pre-existing call sites keep
 // compiling unchanged.
+//
+// PathInterner, the hop dictionary behind the handles, lives here too:
+// the store's shared arena and the sanitizer's dedup ids are both one.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +36,63 @@ struct PathHandle {
   std::uint32_t length = 0;
 
   friend bool operator==(PathHandle, PathHandle) = default;
+};
+
+/// Exact interner of hop sequences. Each distinct sequence is stored
+/// once in one hop arena and named by a dense id (0, 1, 2, ... in
+/// first-intern order) and by the PathHandle of its arena slice.
+///
+/// Lookup is open addressing with linear probing over a slot table kept
+/// at most half full. A slot holds an id and the upper half of its
+/// sequence's hash: the hash picks the probe start and skips most
+/// mismatches, and a full content compare against the arena decides
+/// every match, so two ids never name equal sequences and equal ids mean
+/// equal hops. Nothing is allocated per lookup; interning appends to the
+/// arena and grows the tables by doubling.
+class PathInterner {
+ public:
+  static constexpr std::uint32_t kNoId = ~std::uint32_t{0};
+
+  /// Sizes the slot table for `paths` distinct sequences.
+  void reserve(std::size_t paths);
+
+  /// The id of `hops`, interning the sequence first when it is new.
+  std::uint32_t intern(std::span<const bgp::Asn> hops);
+
+  /// The id of `hops`, or kNoId when it was never interned.
+  [[nodiscard]] std::uint32_t find(std::span<const bgp::Asn> hops) const noexcept;
+
+  [[nodiscard]] PathHandle handle(std::uint32_t id) const noexcept {
+    return handles_[id];
+  }
+  [[nodiscard]] std::span<const bgp::Asn> hops(std::uint32_t id) const noexcept {
+    return {arena_.data() + handles_[id].offset, handles_[id].length};
+  }
+
+  /// Distinct sequences interned.
+  [[nodiscard]] std::size_t size() const noexcept { return handles_.size(); }
+  /// The hop arena every handle indexes into. Interning may reallocate it.
+  [[nodiscard]] const bgp::Asn* arena() const noexcept { return arena_.data(); }
+  [[nodiscard]] std::size_t arena_size() const noexcept { return arena_.size(); }
+
+  /// Forgets every sequence; keeps the tables' capacity.
+  void clear() noexcept;
+
+ private:
+  struct Slot {
+    std::uint32_t id = kNoId;
+    std::uint32_t tag = 0;  // upper half of the sequence's hash
+  };
+
+  /// First probe position of a tag in a table of `slots` entries.
+  [[nodiscard]] static std::size_t home(std::uint32_t tag, std::size_t slots) noexcept {
+    return static_cast<std::size_t>((std::uint64_t{tag} * slots) >> 32);
+  }
+  void rehash(std::size_t slots);
+
+  std::vector<bgp::Asn> arena_;
+  std::vector<PathHandle> handles_;  // by id
+  std::vector<Slot> slots_;
 };
 
 /// Columnar (structure-of-arrays) storage of sanitized paths. All column

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace georank::bgp {
 namespace {
 
@@ -36,6 +40,46 @@ TEST(AsPath, DetectsNonAdjacentDuplicate) {
   EXPECT_FALSE((AsPath{701, 3356, 3356, 1299}).has_nonadjacent_duplicate());
   // ... but "A B B A" is.
   EXPECT_TRUE((AsPath{701, 3356, 3356, 701}).has_nonadjacent_duplicate());
+}
+
+// Naive loop oracle in the shape of BGPExtrapolator's path_contains_loop:
+// a double loop over the prepend-collapsed hops, with the `size() - 1`
+// bound guarded so an empty path does not underflow it.
+bool naive_loop(const AsPath& path) {
+  const AsPath collapsed = path.without_adjacent_duplicates();
+  const std::span<const Asn> hops = collapsed.hops();
+  if (hops.empty()) return false;
+  for (std::size_t i = 0; i < hops.size() - 1; ++i) {
+    for (std::size_t j = i + 1; j < hops.size(); ++j) {
+      if (hops[i] == hops[j]) return true;
+    }
+  }
+  return false;
+}
+
+TEST(AsPath, NonadjacentDuplicateMatchesNaiveOracle) {
+  util::Pcg32 rng{2301};
+  std::size_t loops = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    // Lengths 0-40 over a small alphabet, so repeats are common, with
+    // runs of 1-3 copies standing in for prepending.
+    const std::uint32_t length = rng.below(41);
+    const std::uint32_t alphabet = 2 + rng.below(30);
+    AsPath path;
+    while (path.size() < length) {
+      const Asn hop = 64500 + rng.below(alphabet);
+      for (std::uint32_t copies = 1 + rng.below(3);
+           copies > 0 && path.size() < length; --copies) {
+        path.push_back(hop);
+      }
+    }
+    const bool expected = naive_loop(path);
+    ASSERT_EQ(path.has_nonadjacent_duplicate(), expected) << path.to_string();
+    loops += expected ? 1 : 0;
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(loops, 1000u);
+  EXPECT_LT(loops, 19000u);
 }
 
 TEST(AsPath, RemovesRouteServers) {

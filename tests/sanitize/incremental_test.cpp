@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "sanitize/path_sanitizer.hpp"
@@ -304,6 +306,59 @@ TEST(IncrementalSanitizer, InvalidateForcesFullRun) {
   ASSERT_TRUE(inc.can_fast_path(f.ribs));
   inc.invalidate();
   EXPECT_FALSE(inc.can_fast_path(f.ribs));
+}
+
+TEST(IncrementalSanitizer, DeltaInternerStaysBounded) {
+  // A delta-ready memo: no samples, and a final day in (VP, prefix)
+  // order. Each burst moves one key to a path never seen before, so the
+  // interner gains an id per burst while the live ids stay put.
+  Fixture f;
+  std::vector<RouteEntry>& final_day = f.ribs.days.back().entries;
+  std::sort(final_day.begin(), final_day.end(),
+            [](const RouteEntry& a, const RouteEntry& b) {
+              return a.vp != b.vp ? a.vp < b.vp : a.prefix < b.prefix;
+            });
+  SanitizerOptions options = Fixture::options();
+  options.samples_per_category = 0;
+  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, options};
+  SanitizeResult current = inc.run_full(f.ribs);
+  ASSERT_GT(inc.live_paths(), 0u);
+  EXPECT_EQ(inc.interned_paths(), inc.live_paths());
+
+  const auto key = std::find_if(final_day.begin(), final_day.end(),
+                                [](const RouteEntry& e) {
+                                  return e.vp == kVpUs && e.prefix == pfx("10.1.0.0/16");
+                                });
+  ASSERT_NE(key, final_day.end());
+  std::size_t commits = 0;
+  for (bgp::Asn via = 100;; ++via) {
+    ASSERT_LT(via, 200u) << "the delta path never declined";
+    const AsPath next{1, via, 10};
+    const bgp::RouteDelta delta{key->vp, key->prefix, key->path, next};
+    std::optional<IncrementalSanitizer::DeltaPlan> plan =
+        inc.plan_delta(f.ribs.days.back().day,
+                       std::span<const bgp::RouteDelta>{&delta, 1}, current);
+    if (!plan) {
+      // It declined for the bound, one burst past twice the live ids.
+      EXPECT_GT(inc.interned_paths(), 2 * inc.live_paths());
+      EXPECT_LE(inc.interned_paths(), 2 * inc.live_paths() + 1);
+      break;
+    }
+    EXPECT_LE(inc.interned_paths(), 2 * inc.live_paths());
+    (void)inc.commit_delta(std::move(*plan), current);
+    key->path = next;
+    ++commits;
+    PathSanitizer batch{f.geo_db, f.vps, f.registry, options};
+    expect_equal(current, batch.run(f.ribs));
+  }
+  EXPECT_GE(commits, inc.live_paths());
+
+  // The fast path declines as well, and the full run it falls back to
+  // equals a cold run and starts a fresh interner.
+  EXPECT_FALSE(inc.can_fast_path(f.ribs));
+  PathSanitizer batch{f.geo_db, f.vps, f.registry, options};
+  expect_equal(inc.run_full(f.ribs), batch.run(f.ribs));
+  EXPECT_EQ(inc.interned_paths(), inc.live_paths());
 }
 
 }  // namespace
