@@ -3,7 +3,6 @@
 // an observed path shows B downstream of A; closing the cone recursively
 // over all inferred p2c links INFLATES cones (complex relationships leak
 // whole customer trees). This harness quantifies the inflation.
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <unordered_set>
@@ -39,19 +38,13 @@ int main() {
   rank::CustomerCone cone{ctx->world.graph};
   rank::ConeResult observed = cone.compute(ctx->pipeline->sanitized().paths);
 
-  // Compare for the 15 largest observed cones.
-  std::vector<std::pair<bgp::Asn, std::size_t>> largest;
-  for (const auto& [asn, members] : observed.as_cone) {
-    largest.emplace_back(asn, members.size());
-  }
-  std::sort(largest.begin(), largest.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (largest.size() > 15) largest.resize(15);
-
+  // Compare for the 15 largest observed cones (ties: ascending ASN).
   util::Table table{{"AS", "name", "observed cone", "recursive cone", "inflation"}};
   for (std::size_t c = 2; c <= 4; ++c) table.set_align(c, util::Align::kRight);
   double total_observed = 0, total_recursive = 0;
-  for (const auto& [asn, observed_size] : largest) {
+  for (const rank::ScoredAs& entry : observed.by_as_count().top(15)) {
+    const bgp::Asn asn = entry.asn;
+    const std::size_t observed_size = observed.cone_size(asn);
     std::size_t rec = recursive_cone_size(ctx->world.graph, asn);
     total_observed += static_cast<double>(observed_size);
     total_recursive += static_cast<double>(rec);

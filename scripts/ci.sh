@@ -463,11 +463,12 @@ if [[ "$SKIP_UBSAN" -eq 0 ]]; then
     -DGEORANK_HEADER_CHECKS=OFF > /dev/null
   cmake --build build-ubsan -j "$(nproc)"
   # The robustness surfaces do the spiciest arithmetic (seed mixing,
-  # NDCG float edge cases, fuzzed parsers), and the sanitizer's flat
-  # dedup and interner tables do open-addressing index arithmetic; run
-  # them all under UBSan.
+  # NDCG float edge cases, fuzzed parsers), the sanitizer's flat dedup
+  # and interner tables do open-addressing index arithmetic, and the
+  # dense-id cone and hegemony kernels do CSR offset and dense-index
+  # arithmetic; run them all under UBSan.
   ctest --test-dir build-ubsan --output-on-failure \
-    -R "Confidence|DegradationPolicy|DataHealth|FaultPlan|Robustness|StructuredFaults|FuzzTest|Ndcg|Stability|PathSanitizer|IncrementalSanitizer|ApplyDelta"
+    -R "Confidence|DegradationPolicy|DataHealth|FaultPlan|Robustness|StructuredFaults|FuzzTest|Ndcg|Stability|PathSanitizer|IncrementalSanitizer|ApplyDelta|RankKernels|CustomerCone|Hegemony|Figure"
 else
   echo "==> UndefinedBehaviorSanitizer stage skipped (--skip-ubsan)"
 fi

@@ -37,17 +37,6 @@ bool AsPath::has_nonadjacent_duplicate() const {
   return false;
 }
 
-AsPath AsPath::without_ases(std::span<const Asn> remove) const {
-  std::vector<Asn> out;
-  out.reserve(hops_.size());
-  for (Asn a : hops_) {
-    if (std::find(remove.begin(), remove.end(), a) == remove.end()) {
-      out.push_back(a);
-    }
-  }
-  return derived(std::move(out));
-}
-
 std::string AsPath::to_string() const {
   std::string out;
   for (std::size_t i = 0; i < hops_.size(); ++i) {

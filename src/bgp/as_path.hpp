@@ -45,9 +45,6 @@ class AsPath {
   /// Such paths are loops (Table 1, "loop") and are rejected.
   [[nodiscard]] bool has_nonadjacent_duplicate() const;
 
-  /// Remove all occurrences of the given ASes (IXP route servers, §3.1).
-  [[nodiscard]] AsPath without_ases(std::span<const Asn> remove) const;
-
   void push_back(Asn asn) { hops_.push_back(asn); }
 
   /// True if the path was parsed from text containing bgpdump AS_SET
@@ -55,9 +52,9 @@ class AsPath {
   /// written order so the path stays usable, and this mark lets
   /// sanitize::PathSanitizer make the drop decision (AS_SETs carry no
   /// hop ordering, so the paper's path metrics exclude them). Preserved
-  /// by without_adjacent_duplicates()/without_ases(); participates in
-  /// equality, so a flattened AS_SET path never compares equal to the
-  /// same hops written plainly.
+  /// by without_adjacent_duplicates(); participates in equality, so a
+  /// flattened AS_SET path never compares equal to the same hops written
+  /// plainly.
   [[nodiscard]] bool has_as_set() const noexcept { return has_as_set_; }
   void mark_as_set() noexcept { has_as_set_ = true; }
 

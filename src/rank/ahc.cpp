@@ -48,7 +48,7 @@ Ranking AhcRanking::compute(sanitize::PathsView all_paths,
     if (weight <= 0.0) continue;
     weight_total += weight;
     HegemonyResult h = hegemony.compute(paths);
-    for (const auto& [asn, score] : h.scores) sums[asn] += weight * score;
+    for (const ScoredAs& entry : h.scores) sums[entry.asn] += weight * entry.score;
   }
   if (weight_total <= 0.0) return {};
   std::vector<ScoredAs> scored;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "bgp/route.hpp"
+#include "util/dense_index.hpp"
 
 namespace georank::rank {
 
@@ -25,43 +28,89 @@ double Hegemony::trimmed_average(std::vector<double> scores,
 }
 
 HegemonyResult Hegemony::compute(sanitize::PathsView paths) const {
-  // Group path mass per VP.
-  struct VpAccumulator {
-    double total = 0.0;
-    std::unordered_map<Asn, double> per_as;
-  };
-  std::unordered_map<bgp::VpId, VpAccumulator, bgp::VpIdHash> vps;
-
-  for (const sanitize::PathRecord sp : paths) {
-    VpAccumulator& acc = vps[sp.vp];
-    double w = options_.weight_by_addresses ? static_cast<double>(sp.weight) : 1.0;
-    acc.total += w;
-    auto hops = sp.path.hops();
-    std::size_t begin = options_.exclude_vp_as && hops.size() > 1 ? 1 : 0;
-    // A path may repeat an AS only adjacently post-sanitization; hops are
-    // already collapsed, so each hop is distinct.
-    for (std::size_t i = begin; i < hops.size(); ++i) {
-      acc.per_as[hops[i]] += w;
-    }
-  }
-
+  constexpr std::uint32_t kNone = util::DenseIndex<Asn>::kNone;
   HegemonyResult result;
-  result.vp_count = vps.size();
-  if (vps.empty()) return result;
 
-  // Collect per-AS score vectors across VPs.
-  std::unordered_map<Asn, std::vector<double>> per_as_scores;
-  // lint: ordered(per-AS score vectors are sorted inside trimmed_average)
-  for (const auto& [vp, acc] : vps) {
-    if (acc.total <= 0.0) continue;
-    // lint: ordered(one entry per (vp, asn); vector order washed out by the sort)
-    for (const auto& [asn, mass] : acc.per_as) {
-      per_as_scores[asn].push_back(mass / acc.total);
+  // Dense VP ids, then a stable counting sort of the rows by VP.
+  util::DenseIndex<std::uint64_t> vp_ids;
+  std::vector<std::uint32_t> row_vp(paths.size());
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    const bgp::VpId vp = paths[k].vp;
+    row_vp[k] = vp_ids.insert((std::uint64_t{vp.ip} << 32) | vp.asn).id;
+  }
+  result.vp_count = vp_ids.size();
+  if (result.vp_count == 0) return result;
+  std::vector<std::uint32_t> vp_offsets(result.vp_count + 1, 0);
+  for (const std::uint32_t vp : row_vp) ++vp_offsets[vp + 1];
+  std::partial_sum(vp_offsets.begin(), vp_offsets.end(), vp_offsets.begin());
+  std::vector<std::uint32_t> order(paths.size());
+  {
+    std::vector<std::uint32_t> cursor(vp_offsets.begin(), vp_offsets.end() - 1);
+    for (std::size_t k = 0; k < paths.size(); ++k) {
+      order[cursor[row_vp[k]]++] = static_cast<std::uint32_t>(k);
     }
   }
-  // lint: ordered(writes a map keyed by asn; no order-bearing output)
-  for (auto& [asn, scores] : per_as_scores) {
-    result.scores[asn] = trimmed_average(std::move(scores), result.vp_count);
+
+  // One VP at a time: mass per AS id, reset through the touched list. A
+  // VP whose paths weigh nothing scores no AS but stays in vp_count.
+  util::DenseIndex<Asn> as_ids;
+  std::vector<double> mass;
+  std::vector<std::uint32_t> last_vp;  // by AS id: the VP that last touched it
+  std::vector<std::uint32_t> touched;
+  std::vector<std::pair<std::uint32_t, double>> vp_scores;  // (AS id, score)
+  for (std::uint32_t v = 0; v < result.vp_count; ++v) {
+    double total = 0.0;
+    touched.clear();
+    for (std::uint32_t r = vp_offsets[v]; r < vp_offsets[v + 1]; ++r) {
+      const sanitize::PathRecord sp = paths[order[r]];
+      const double w = options_.weight_by_addresses ? static_cast<double>(sp.weight) : 1.0;
+      total += w;
+      const auto hops = sp.path.hops();
+      const std::size_t begin = options_.exclude_vp_as && hops.size() > 1 ? 1 : 0;
+      for (std::size_t i = begin; i < hops.size(); ++i) {
+        const std::uint32_t id = as_ids.insert(hops[i]).id;
+        if (id == mass.size()) {
+          mass.push_back(0.0);
+          last_vp.push_back(kNone);
+        }
+        if (last_vp[id] != v) {
+          last_vp[id] = v;
+          touched.push_back(id);
+        }
+        mass[id] += w;
+      }
+    }
+    for (const std::uint32_t id : touched) {
+      if (total > 0.0) vp_scores.emplace_back(id, mass[id] / total);
+      mass[id] = 0.0;
+    }
+  }
+
+  // Group the scores by AS (CSR) and trim-average each AS, in ASN order.
+  const std::size_t as_count = as_ids.size();
+  std::vector<std::uint32_t> offsets(as_count + 1, 0);
+  for (const auto& [id, score] : vp_scores) ++offsets[id + 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<double> grouped(vp_scores.size());
+  {
+    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const auto& [id, score] : vp_scores) grouped[cursor[id]++] = score;
+  }
+  std::vector<std::uint32_t> scored;
+  for (std::uint32_t id = 0; id < as_count; ++id) {
+    if (offsets[id] != offsets[id + 1]) scored.push_back(id);
+  }
+  std::sort(scored.begin(), scored.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return as_ids.key(a) < as_ids.key(b);
+  });
+  result.scores.reserve(scored.size());
+  for (const std::uint32_t id : scored) {
+    // Room for trimmed_average's zero padding up front: one allocation.
+    std::vector<double> per_vp;
+    per_vp.reserve(result.vp_count);
+    per_vp.assign(grouped.begin() + offsets[id], grouped.begin() + offsets[id + 1]);
+    result.scores.push_back(
+        ScoredAs{as_ids.key(id), trimmed_average(std::move(per_vp), result.vp_count)});
   }
   return result;
 }
@@ -80,12 +129,13 @@ HegemonyResult per_origin_hegemony(sanitize::PathsView paths, Asn origin,
   return hegemony.compute(paths.rebase(subset));
 }
 
-Ranking HegemonyResult::ranking() const {
-  std::vector<ScoredAs> scored;
-  scored.reserve(scores.size());
-  // lint: ordered(from_scores totally orders by (score desc, asn asc))
-  for (const auto& [asn, score] : scores) scored.push_back(ScoredAs{asn, score});
-  return Ranking::from_scores(std::move(scored));
+Ranking HegemonyResult::ranking() const { return Ranking::from_scores(scores); }
+
+double HegemonyResult::score_of(Asn asn) const {
+  auto it = std::lower_bound(
+      scores.begin(), scores.end(), asn,
+      [](const ScoredAs& entry, Asn key) { return entry.asn < key; });
+  return it != scores.end() && it->asn == asn ? it->score : 0.0;
 }
 
 }  // namespace georank::rank

@@ -13,10 +13,22 @@
 // Trim rule: the paper's Figure 2 removes one score from each end of a
 // 3-VP sample, so we trim max(1, floor(trim*n)) per side whenever n >= 3
 // (and nothing below that).
+//
+// Kernel layout. The VPs and ASes of one call get dense u32 ids
+// (util::DenseIndex), and the rows are counting-sorted by VP. One VP at a
+// time, path mass accumulates into a flat mass[] array indexed by AS id;
+// a touched list resets it for the next VP. The per-VP scores are then
+// grouped by AS (CSR) and handed to trimmed_average.
+//
+// Float order. The counting sort is stable, so every (VP, AS) mass and
+// every VP total adds the same doubles in the same order as a single
+// pass over the rows would. trimmed_average sorts a score vector before
+// summing it, so the order the scores arrive in does not matter either.
+// The result is bit-identical to the hash-map formulation (kept under
+// tests/rank as the oracle).
 #pragma once
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "rank/ranking.hpp"
@@ -38,16 +50,15 @@ struct HegemonyOptions {
 };
 
 struct HegemonyResult {
-  /// Final hegemony score per AS.
-  std::unordered_map<Asn, double> scores;
-  /// Number of VPs that contributed (the trim denominator).
+  /// Final hegemony score per AS, in ascending ASN order.
+  std::vector<ScoredAs> scores;
+  /// Number of VPs that contributed (the trim denominator). A VP whose
+  /// paths all weigh 0 still counts.
   std::size_t vp_count = 0;
 
   [[nodiscard]] Ranking ranking() const;
-  [[nodiscard]] double score_of(Asn asn) const {
-    auto it = scores.find(asn);
-    return it == scores.end() ? 0.0 : it->second;
-  }
+  /// Score of an AS; 0 if absent.
+  [[nodiscard]] double score_of(Asn asn) const;
 };
 
 /// IHR-style per-origin ("local graph") hegemony: hegemony computed over

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <tuple>
 #include <string>
 #include <unordered_set>
@@ -307,6 +308,15 @@ struct StringKeyHash {
   }
 };
 
+/// `path` without any hop in `remove` (the reference's route-server strip).
+AsPath without_ases(const AsPath& path, std::span<const bgp::Asn> remove) {
+  std::vector<bgp::Asn> kept;
+  for (const bgp::Asn hop : path.hops()) {
+    if (std::find(remove.begin(), remove.end(), hop) == remove.end()) kept.push_back(hop);
+  }
+  return AsPath{std::move(kept)};
+}
+
 SanitizeResult string_keyed_reference(const RibCollection& ribs,
                                       const geo::VpGeolocator& vps,
                                       const AsnRegistry& registry,
@@ -373,7 +383,7 @@ SanitizeResult string_keyed_reference(const RibCollection& ribs,
       }
       ++out.stats.accepted;
       AsPath cleaned =
-          e.path.without_ases(options.route_server_asns).without_adjacent_duplicates();
+          without_ases(e.path, options.route_server_asns).without_adjacent_duplicates();
       if (cleaned.empty()) continue;
       if (!dedup.insert(StringKey{e.vp, e.prefix, cleaned.to_string()}).second) {
         ++out.stats.duplicates_merged;
