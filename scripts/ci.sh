@@ -466,9 +466,10 @@ if [[ "$SKIP_UBSAN" -eq 0 ]]; then
   # NDCG float edge cases, fuzzed parsers), the sanitizer's flat dedup
   # and interner tables do open-addressing index arithmetic, and the
   # dense-id cone and hegemony kernels do CSR offset and dense-index
-  # arithmetic; run them all under UBSan.
+  # arithmetic, the trimmed average offsets past the unpadded zeros, and
+  # the loop check scans runs by index; run them all under UBSan.
   ctest --test-dir build-ubsan --output-on-failure \
-    -R "Confidence|DegradationPolicy|DataHealth|FaultPlan|Robustness|StructuredFaults|FuzzTest|Ndcg|Stability|PathSanitizer|IncrementalSanitizer|ApplyDelta|RankKernels|CustomerCone|Hegemony|Figure"
+    -R "Confidence|DegradationPolicy|DataHealth|FaultPlan|Robustness|StructuredFaults|FuzzTest|Ndcg|Stability|PathSanitizer|IncrementalSanitizer|ApplyDelta|RankKernels|CustomerCone|Hegemony|TrimmedAverage|AsPath|Figure"
 else
   echo "==> UndefinedBehaviorSanitizer stage skipped (--skip-ubsan)"
 fi

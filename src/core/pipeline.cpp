@@ -23,62 +23,39 @@ Pipeline::Pipeline(const geo::GeoDatabase& geo_db, const geo::VpGeolocator& vps,
 void Pipeline::load(const bgp::RibCollection& ribs) {
   // No parse phase on this path: the stats describe the CURRENT world,
   // so swap in an empty set rather than leaving a stale one visible.
-  load_impl(ribs, bgp::MrtParseStats{});
+  (void)swap_in(ribs, bgp::MrtParseStats{});
 }
 
-void Pipeline::load_impl(const bgp::RibCollection& ribs, bgp::MrtParseStats stats) {
+Pipeline::ApplyResult Pipeline::apply_updates(const bgp::RibCollection& ribs) {
+  return swap_in(ribs, std::nullopt);
+}
+
+Pipeline::ApplyResult Pipeline::swap_in(const bgp::RibCollection& ribs,
+                                        std::optional<bgp::MrtParseStats> stats) {
   const std::lock_guard<std::mutex> serial(cache_->load_serial);
   // Sanitize outside the reload lock (it is by far the expensive part),
   // then swap the world in exclusively so racing queries see either the
   // old state or the new one, never a mix. run_full also recaptures the
-  // sanitizer memo that apply_updates' fast path builds on.
+  // sanitizer memo apply_delta builds on.
   sanitize::SanitizeResult result = sanitizer_.run_full(ribs);
   const std::lock_guard<std::mutex> gate(cache_->reload_gate);
   const std::unique_lock<std::shared_mutex> reload(cache_->reload);
-  parse_stats_ = std::move(stats);
+  if (stats) parse_stats_ = std::move(*stats);
   sanitized_ = std::move(result);
-  store_.emplace(std::span<const sanitize::SanitizedPath>{sanitized_->paths});
-  rebuild_geo_evidence(/*sanitize_fast_path=*/false);
-  evict_changed_countries();
-}
-
-Pipeline::ApplyResult Pipeline::apply_updates(const bgp::RibCollection& ribs) {
-  const std::lock_guard<std::mutex> serial(cache_->load_serial);
-  // can_fast_path digest-verifies that `ribs` differs from the loaded
-  // collection in the final day only (stable-prefix set intact); then
-  // run_fast re-filters just that day and reuses everything else, which
-  // is identical to a full run by construction — this is what anchors
-  // bit-identity with a batch load(). Any mismatch falls back to the
-  // full sanitizer. The full run happens outside the reload lock; the
-  // fast run inside it, because it consumes the published rows.
-  sanitize::IncrementalSanitizer::Outcome outcome;
-  const bool fast = sanitized_.has_value() && sanitizer_.can_fast_path(ribs);
-  std::optional<sanitize::SanitizeResult> full;
-  if (!fast) full = sanitizer_.run_full(ribs, &outcome);
-  const std::lock_guard<std::mutex> gate(cache_->reload_gate);
-  const std::unique_lock<std::shared_mutex> reload(cache_->reload);
   ApplyResult out;
-  if (fast) {
-    sanitized_ = sanitizer_.run_fast(ribs, std::move(*sanitized_), &outcome);
-  } else {
-    sanitized_ = std::move(*full);
-  }
-  out.sanitize_fast_path = outcome.fast_path;
-  out.days_resanitized = outcome.days_resanitized;
-  if (store_.has_value()) {
-    // rows_reused is the sanitizer's digest-verified proof that the
-    // leading rows are unchanged — the store skips re-interning and
-    // re-digesting them (0 on the full path = plain rebuild).
-    const ShardedPathStore::RebuildStats rebuilt = store_->rebuild(
-        std::span<const sanitize::SanitizedPath>{sanitized_->paths}, 0,
-        outcome.rows_reused);
+  out.days_resanitized = ribs.days.size();
+  const std::span<const sanitize::SanitizedPath> paths{sanitized_->paths};
+  if (store_.has_value() && !stats) {
+    const ShardedPathStore::RebuildStats rebuilt = store_->rebuild(paths);
     out.shards_kept = rebuilt.shards_kept;
     out.shards_rebuilt = rebuilt.shards_rebuilt;
   } else {
-    store_.emplace(std::span<const sanitize::SanitizedPath>{sanitized_->paths});
+    // A load frees the old store before building the new one, so the
+    // two never coexist; apply_updates keeps unchanged shards instead.
+    store_.emplace(paths);
     out.shards_rebuilt = store_->shards().size();
   }
-  rebuild_geo_evidence(out.sanitize_fast_path);
+  rebuild_geo_evidence();
   const EvictStats evicted = evict_changed_countries();
   out.memos_evicted = evicted.evicted;
   out.memos_kept = evicted.kept;
@@ -103,9 +80,8 @@ std::optional<Pipeline::ApplyResult> Pipeline::apply_delta(
   for (std::uint32_t row : plan->erase) {
     count_geo_evidence_row(sanitized_->paths[row], /*added=*/false);
   }
-  sanitize::IncrementalSanitizer::Outcome outcome;
   const sanitize::IncrementalSanitizer::RowEdit edit =
-      sanitizer_.commit_delta(std::move(*plan), *sanitized_, &outcome);
+      sanitizer_.commit_delta(std::move(*plan), *sanitized_);
   for (std::uint32_t row : edit.inserted) {
     count_geo_evidence_row(sanitized_->paths[row], /*added=*/true);
   }
@@ -114,9 +90,7 @@ std::optional<Pipeline::ApplyResult> Pipeline::apply_delta(
       edit.inserted);
 
   ApplyResult out;
-  out.delta_path = true;
-  out.sanitize_fast_path = outcome.fast_path;
-  out.days_resanitized = outcome.days_resanitized;
+  out.sanitize_fast_path = true;
   out.shards_kept = patched.shards_kept;
   out.shards_rebuilt = patched.shards_rebuilt;
   const EvictStats evicted = evict_changed_countries();
@@ -138,14 +112,10 @@ Pipeline::Checkpoint Pipeline::checkpoint() const {
   const std::shared_lock<std::shared_mutex> reload(cache_->reload);
   require_loaded("Pipeline::checkpoint()");
   Checkpoint chk;
-  chk.sanitizer_ = sanitizer_;
-  chk.sanitizer_->drop_delta_memo();
-  chk.sanitized_ = *sanitized_;
+  chk.sanitized_ = sanitized_;
   chk.store_ = store_->clone();
   chk.parse_stats_ = parse_stats_;
   chk.geo_evidence_ = geo_evidence_;
-  chk.head_geo_evidence_ = head_geo_evidence_;
-  chk.head_prefix_rows_ = head_prefix_rows_;
   chk.country_digests_ = country_digests_;
   chk.outbound_digests_ = outbound_digests_;
   {
@@ -158,13 +128,14 @@ Pipeline::Checkpoint Pipeline::checkpoint() const {
 }
 
 Pipeline::ApplyResult Pipeline::restore(const Checkpoint& checkpoint) {
-  if (!checkpoint.sanitizer_.has_value()) {
+  if (!checkpoint.sanitized_.has_value()) {
     throw std::logic_error{"Pipeline::restore(): empty checkpoint"};
   }
   const std::lock_guard<std::mutex> serial(cache_->load_serial);
-  // The sanitizer memo is only ever read under load_serial, so it can be
-  // restored outside the reload lock like apply_updates' full run.
-  sanitizer_ = *checkpoint.sanitizer_;
+  // The sanitizer memo describes the outgoing world. It is only ever
+  // read under load_serial, so it can be dropped outside the reload
+  // lock; apply_delta() declines until the next full run re-arms it.
+  sanitizer_.invalidate();
   const std::lock_guard<std::mutex> gate(cache_->reload_gate);
   const std::unique_lock<std::shared_mutex> reload(cache_->reload);
   parse_stats_ = checkpoint.parse_stats_;
@@ -220,44 +191,22 @@ Pipeline::ApplyResult Pipeline::restore(const Checkpoint& checkpoint) {
                      cache_->health.size();
   }
   geo_evidence_ = checkpoint.geo_evidence_;
-  head_geo_evidence_ = checkpoint.head_geo_evidence_;
   // Rebuilt by the next load() or apply_updates(); apply_delta()
-  // declines until then (the restored sanitizer has no delta memo).
+  // declines until then.
   prefix_rows_.clear();
-  head_prefix_rows_ = checkpoint.head_prefix_rows_;
   country_digests_ = checkpoint.country_digests_;
   outbound_digests_ = checkpoint.outbound_digests_;
   return out;
 }
 
-void Pipeline::rebuild_geo_evidence(bool sanitize_fast_path) {
+void Pipeline::rebuild_geo_evidence() {
   // Geolocation evidence for the confidence annotation: accepted weight
   // once per distinct sanitized prefix, plus the no-consensus weight each
-  // plurality country lost. A prefix's weight counts while it has rows,
-  // so when the sanitizer proved the head rows unchanged the tallies and
-  // row counts captured at the head/final-day boundary are exact and
-  // only the final day's rows need scanning.
-  const std::vector<sanitize::SanitizedPath>& paths = sanitized_->paths;
-  const std::size_t boundary = sanitizer_.memo_head_rows();
-  std::size_t begin = 0;
-  if (sanitize_fast_path) {
-    geo_evidence_ = head_geo_evidence_;
-    prefix_rows_ = head_prefix_rows_;
-    begin = boundary;
-  } else {
-    geo_evidence_.clear();
-    prefix_rows_.clear();
-  }
-  for (std::size_t i = begin; i < paths.size(); ++i) {
-    if (!sanitize_fast_path && i == boundary) {
-      head_geo_evidence_ = geo_evidence_;
-      head_prefix_rows_ = prefix_rows_;
-    }
-    count_geo_evidence_row(paths[i], /*added=*/true);
-  }
-  if (!sanitize_fast_path && boundary == paths.size()) {
-    head_geo_evidence_ = geo_evidence_;
-    head_prefix_rows_ = prefix_rows_;
+  // plurality country lost.
+  geo_evidence_.clear();
+  prefix_rows_.clear();
+  for (const sanitize::SanitizedPath& row : sanitized_->paths) {
+    count_geo_evidence_row(row, /*added=*/true);
   }
   for (const auto& [country, tally] :
        sanitized_->prefix_geo.no_consensus_by_plurality()) {
@@ -349,13 +298,13 @@ Pipeline::EvictStats Pipeline::evict_changed_countries() {
 void Pipeline::load_text(std::string_view mrt_text) {
   bgp::MrtStreamLoader loader{config_.ingest};
   bgp::RibCollection ribs = loader.load_text(mrt_text);
-  load_impl(ribs, loader.stats());
+  (void)swap_in(ribs, loader.stats());
 }
 
 void Pipeline::load_stream(std::istream& is) {
   bgp::MrtStreamLoader loader{config_.ingest};
   bgp::RibCollection ribs = loader.load(is);
-  load_impl(ribs, loader.stats());
+  (void)swap_in(ribs, loader.stats());
 }
 
 bool Pipeline::loaded() const {

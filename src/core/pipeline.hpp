@@ -92,28 +92,23 @@ class Pipeline {
     /// to have warmed the cache beforehand.
     std::size_t country_memos_evicted = 0;
     std::size_t country_memos_kept = 0;
-    bool sanitize_fast_path = false;   // final-day-only incremental run
+    /// apply_delta patched the changed rows in place (no day was
+    /// re-filtered); false when the sanitizer ran in full.
+    bool sanitize_fast_path = false;
     std::size_t days_resanitized = 0;  // days the sanitizer re-filtered
-    /// apply_delta patched the changed rows in place (implies
-    /// sanitize_fast_path with no day re-filtered).
-    bool delta_path = false;
   };
 
-  /// Incremental counterpart of load(). The sanitizer's filters are
-  /// globally coupled — covered-prefix pruning, stability counts, geo
-  /// consensus — so naive partial re-sanitization would change results;
-  /// instead the sanitize::IncrementalSanitizer PROVES via content
-  /// digests that only the final day changed (and that the stable-prefix
-  /// set is intact) before re-filtering just that day, and falls back to
-  /// a full run otherwise. Either way the store is REBUILT in place:
+  /// Reloads a changed collection and reports what the reload kept. The
+  /// sanitizer's filters are globally coupled — covered-prefix pruning,
+  /// stability counts, geo consensus — so the collection is re-sanitized
+  /// in full; load() shares this body. The store is REBUILT in place:
   /// shards whose content digest is unchanged keep their columns, and
   /// only countries whose digest actually changed lose their memoized
   /// rankings and health entries. Queries afterwards are bit-identical
   /// to a from-scratch load() of the same collection. parse_stats() is
   /// left untouched (updates arrive pre-parsed). Takes the reload lock
-  /// exclusively for the swap, like load(). A burst that only rewrites
-  /// the final day still re-filters that whole day here; when the
-  /// caller knows the burst itself, apply_delta() is O(burst).
+  /// exclusively for the swap, like load(). When the caller knows the
+  /// burst itself, apply_delta() is O(burst).
   ApplyResult apply_updates(const bgp::RibCollection& ribs);
 
   /// The O(burst) counterpart of apply_updates() for a burst that
@@ -129,8 +124,9 @@ class Pipeline {
   /// of the changed collection. Returns nullopt — world untouched —
   /// when a proof fails: nothing loaded, an inferred clique, audit
   /// samples on, a final day not keyed by route, a prefix whose
-  /// final-day presence crosses the stability threshold, or an old path
-  /// the loaded world does not hold; the caller then falls back to
+  /// final-day presence crosses the stability threshold, an old path
+  /// the loaded world does not hold, or a restore() since the last
+  /// load() or apply_updates(); the caller then falls back to
   /// apply_updates(). Plans outside the reload lock and takes it
   /// exclusively only for the in-place patch.
   std::optional<ApplyResult> apply_delta(int day,
@@ -148,36 +144,25 @@ class Pipeline {
   };
   [[nodiscard]] GeoEvidence geo_evidence(geo::CountryCode country) const;
 
- private:
-  /// Accepted rows per distinct sanitized prefix: a prefix's accepted
-  /// weight counts toward its country while it has at least one row.
-  using PrefixRows = std::unordered_map<bgp::Prefix, std::uint32_t, bgp::PrefixHash>;
-
- public:
-
   /// A captured world: the sanitized path set, a deep copy of the
-  /// sharded store, the geo evidence, the per-country digests, the memo
-  /// cache contents and the incremental sanitizer's memo, all as they
-  /// stood when checkpoint() ran. restore() swaps it back WITHOUT
-  /// re-running the sanitizer, re-gathering the store or recomputing a
-  /// single ranking — every piece is copied back — so a caller that
-  /// flips between two worlds (the what-if engine re-arming its baseline
-  /// after each counterfactual, DESIGN.md §4i) pays O(world) memcpy
-  /// instead of a reload. Opaque and move-only (it owns a store clone);
+  /// sharded store, the geo evidence, the per-country digests and the
+  /// memo cache contents, all as they stood when checkpoint() ran.
+  /// restore() swaps it back WITHOUT re-running the sanitizer,
+  /// re-gathering the store or recomputing a single ranking — every
+  /// piece is copied back — so a caller that flips between two worlds
+  /// (the what-if engine re-arming its baseline after each
+  /// counterfactual, DESIGN.md §4i) pays O(world) memcpy instead of a
+  /// reload. Opaque and move-only (it owns a store clone);
   /// only hand it back to the pipeline that made it — the interning
   /// arena and digests are private to that instance's history.
   class Checkpoint {
    private:
     friend class Pipeline;
-    std::optional<sanitize::IncrementalSanitizer> sanitizer_;
-    sanitize::SanitizeResult sanitized_;
+    std::optional<sanitize::SanitizeResult> sanitized_;  // empty: no world
     ShardedPathStore store_;
     bgp::MrtParseStats parse_stats_;
     std::unordered_map<geo::CountryCode, GeoEvidence, geo::CountryCodeHash>
         geo_evidence_;
-    std::unordered_map<geo::CountryCode, GeoEvidence, geo::CountryCodeHash>
-        head_geo_evidence_;
-    PrefixRows head_prefix_rows_;
     std::unordered_map<std::uint16_t, std::uint64_t> country_digests_;
     std::unordered_map<std::uint16_t, std::uint64_t> outbound_digests_;
     std::unordered_map<std::uint16_t, CountryMetrics> cache_country_;
@@ -193,13 +178,11 @@ class Pipeline {
   [[nodiscard]] Checkpoint checkpoint() const;
 
   /// Swaps a checkpointed world back in by copy. Queries afterwards are
-  /// bit-identical to a load() of the checkpointed collection, the memo
-  /// cache holds exactly the entries it held at capture time (every
-  /// memo that was warm then is warm again — no recompute needed), and
-  /// the sanitizer's cross-load memo is restored too, so a
-  /// final-day-only apply_updates() after restore() still fast-paths.
-  /// The delta path's per-prefix counters are not captured (they would
-  /// double the copy for a path what-ifs never take), so apply_delta()
+  /// bit-identical to a load() of the checkpointed collection, and the
+  /// memo cache holds exactly the entries it held at capture time (every
+  /// memo that was warm then is warm again — no recompute needed). The
+  /// sanitizer's memo is not captured (what-ifs never take the delta
+  /// path it serves): restore() invalidates it, so apply_delta()
   /// declines until a load() or apply_updates() re-arms it.
   /// The returned counters diff the checkpoint against the OUTGOING
   /// world: shards_kept counts shards whose content was already
@@ -294,16 +277,17 @@ class Pipeline {
   }
 
  private:
-  /// Sanitizes outside the reload lock, then swaps the new world — paths,
-  /// store, geo evidence AND parse stats — in under one exclusive hold,
-  /// finishing with shard-granular memo eviction.
-  void load_impl(const bgp::RibCollection& ribs, bgp::MrtParseStats stats);
-  /// Recomputes geo_evidence_ from sanitized_. Called under the
-  /// exclusive reload lock. `sanitize_fast_path` = this apply reused the
-  /// sanitizer's memoized head rows, so the evidence accumulated up to
-  /// the head/final-day boundary (cached on the previous full scan) is
-  /// reused and only the suffix rows are re-scanned.
-  void rebuild_geo_evidence(bool sanitize_fast_path);
+  /// The body of every load() form and apply_updates(): sanitizes
+  /// `ribs` in full outside the reload lock, then swaps the new world —
+  /// paths, store, geo evidence and, when given, parse stats — in under
+  /// one exclusive hold, finishing with shard-granular memo eviction.
+  /// A load (`stats` given) builds a fresh store; apply_updates rebuilds
+  /// the current one in place.
+  ApplyResult swap_in(const bgp::RibCollection& ribs,
+                      std::optional<bgp::MrtParseStats> stats);
+  /// Recomputes geo_evidence_ and prefix_rows_ from sanitized_. Called
+  /// under the exclusive reload lock.
+  void rebuild_geo_evidence();
   /// Moves one row's prefix in or out of the per-prefix tallies behind
   /// geo_evidence_ (apply_delta's patch). Under the exclusive lock.
   void count_geo_evidence_row(const sanitize::SanitizedPath& row, bool added);
@@ -343,25 +327,20 @@ class Pipeline {
   const topo::AsGraph* relationships_;
   PipelineConfig config_;
   CountryRankings rankings_;
-  // The sanitizer's cross-load memo (behind the incremental fast path).
-  // Touched only by load()/apply_updates(), serialized among themselves
-  // by MemoCache::load_serial — queries never read it.
+  // The sanitizer's cross-load memo (behind apply_delta). Touched only
+  // by writers, serialized among themselves by MemoCache::load_serial —
+  // queries never read it.
   sanitize::IncrementalSanitizer sanitizer_;
   std::optional<sanitize::SanitizeResult> sanitized_;
   std::optional<ShardedPathStore> store_;
   bgp::MrtParseStats parse_stats_;
   std::unordered_map<geo::CountryCode, GeoEvidence, geo::CountryCodeHash>
       geo_evidence_;
-  // Rows per accepted prefix in the current world: apply_delta adjusts
-  // these (and a prefix's country tally when its count leaves or
-  // reaches zero) instead of rescanning.
-  PrefixRows prefix_rows_;
-  // Accepted-weight tallies and rows per prefix as they stood at the
-  // sanitizer's head/final-day row boundary, captured on the last full
-  // evidence scan so a fast apply only re-scans the final day's rows.
-  std::unordered_map<geo::CountryCode, GeoEvidence, geo::CountryCodeHash>
-      head_geo_evidence_;
-  PrefixRows head_prefix_rows_;
+  // Accepted rows per distinct sanitized prefix in the current world: a
+  // prefix's accepted weight counts toward its country while it has at
+  // least one row. apply_delta adjusts these (and a prefix's country
+  // tally when its count leaves or reaches zero) instead of rescanning.
+  std::unordered_map<bgp::Prefix, std::uint32_t, bgp::PrefixHash> prefix_rows_;
   // Per-country content digests of the CURRENT world, written only under
   // the exclusive reload lock (like the rest of the world state above).
   // `country_digests_` folds geo evidence in (CountryMetrics.confidence

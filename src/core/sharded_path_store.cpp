@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -40,20 +39,8 @@ bool ShardedPathStore::compact_if_sparse(
 }
 
 ShardedPathStore::RebuildStats ShardedPathStore::rebuild(
-    std::span<const sanitize::SanitizedPath> paths, std::size_t threads,
-    std::size_t unchanged_prefix_rows) {
+    std::span<const sanitize::SanitizedPath> paths, std::size_t threads) {
   const std::size_t n = paths.size();
-  // The head shortcut needs the previous rebuild's caches to cover it;
-  // clamping also makes a stale hint on a fresh store degrade to 0.
-  const std::size_t head = std::min({unchanged_prefix_rows, handles_.size(), n});
-  if (head > 0) {
-    // A proven-unchanged head is the row edit that replaces the suffix.
-    std::vector<std::uint32_t> erased(handles_.size() - head);
-    std::vector<std::uint32_t> inserted(n - head);
-    std::iota(erased.begin(), erased.end(), static_cast<std::uint32_t>(head));
-    std::iota(inserted.begin(), inserted.end(), static_cast<std::uint32_t>(head));
-    return patch(paths, erased, inserted, threads);
-  }
   size_ = n;
 
   // ---- Phase 1: shared hop dictionary (sequential, deterministic).

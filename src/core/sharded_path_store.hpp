@@ -87,30 +87,16 @@ class ShardedPathStore {
   /// compacts: it re-interns the live rows into a fresh dictionary and
   /// re-gathers every shard. Queries on the rebuilt store are
   /// bit-identical to a fresh build from `paths`.
-  ///
-  /// `unchanged_prefix_rows` is the caller's PROOF (not a hint to be
-  /// guessed at — pass the incremental sanitizer's Outcome::rows_reused,
-  /// which is digest-verified) that the first that many rows of `paths`
-  /// are byte-identical to the first rows of the previous rebuild's
-  /// input. When non-zero, their cached handles and shard row lists are
-  /// reused — re-interning them would walk the same buckets of the
-  /// append-only dictionary and return the same handles — and shards
-  /// whose row lists are untouched by the suffix are moved over without
-  /// even re-digesting their content: the rebuild is the patch() that
-  /// erases the old suffix and inserts the new one, so it interns and
-  /// gathers O(suffix) rows. A wrong value silently corrupts the store;
-  /// 0 (the default) always performs the full scan.
   RebuildStats rebuild(std::span<const sanitize::SanitizedPath> paths,
-                       std::size_t threads = 0,
-                       std::size_t unchanged_prefix_rows = 0);
+                       std::size_t threads = 0);
 
   /// Applies a sparse row edit: `paths` is the previous input with the
   /// rows at `erased` (ascending indices into the PREVIOUS input)
   /// removed and new rows at `inserted` (ascending indices into
   /// `paths`); every other row must be byte-identical to its previous
-  /// self and keep its relative order — a proof the caller owes, as
-  /// with rebuild()'s unchanged head (core::Pipeline::apply_delta passes
-  /// the sanitizer's committed RowEdit). Re-interns only the inserted
+  /// self and keep its relative order — a proof the caller owes
+  /// (core::Pipeline::apply_delta passes the sanitizer's committed
+  /// RowEdit). Re-interns only the inserted
   /// rows, re-gathers only the shards that lose or gain a row (a row
   /// lands in its prefix country's and VP country's shards), and moves
   /// every other shard over without re-digesting it. Queries afterwards
@@ -187,9 +173,8 @@ class ShardedPathStore {
       const std::unordered_set<geo::CountryCode, geo::CountryCodeHash>* touched,
       bool reuse_old);
 
-  /// Per-row handles and per-country row lists of the LAST rebuild,
-  /// cached so a rebuild with a proven unchanged head (see rebuild())
-  /// or a patch() can skip re-deriving them for unchanged rows.
+  /// Per-row handles and per-country row lists of the LAST build,
+  /// cached so a patch() can skip re-deriving them for unchanged rows.
   std::vector<sanitize::PathHandle> handles_;
   /// Hops the live rows reference (sum of handles_ lengths): the
   /// compaction rule's yardstick.

@@ -29,12 +29,13 @@
 // Bit-identity invariant (tested): after draining any replayed archive,
 // the published snapshot's census equals a from-scratch batch recompute
 // of the same final RIB state bit for bit. The sanitizer's filters are
-// globally coupled, so its incremental fast path digest-VERIFIES that
-// only the live day changed before re-filtering just that day (falling
-// back to a full run otherwise; see sanitize::IncrementalSanitizer),
-// the day semantics mirror bgp::replay_to_collection exactly, and
-// ranking accumulation order is shard-deterministic — so incrementality
-// changes latency, never results.
+// globally coupled, so a flush takes one of two paths: the delta path
+// re-decides only the burst's routes after PROVING the stable-prefix
+// set unchanged, and anything it cannot prove re-sanitizes the whole
+// window (see sanitize::IncrementalSanitizer). The day semantics mirror
+// bgp::replay_to_collection exactly, and ranking accumulation order is
+// shard-deterministic — so incrementality changes latency, never
+// results.
 //
 // Threading: an UpdatePipeline instance is driven by ONE feeder thread;
 // it is not itself thread-safe. Concurrent READERS are fine — they go
@@ -245,9 +246,8 @@ class UpdatePipeline {
   /// here as the stream crosses day boundaries (trimmed to window_days
   /// from the front), and flush() appends the live day's snapshot for
   /// the apply_updates call, then pops it. Closed days are immutable
-  /// between flushes — re-materializing them per flush would copy the
-  /// whole window, and their stability is exactly what the sanitizer's
-  /// incremental fast path digests against.
+  /// once captured, so a full flush copies only the live day out of
+  /// rib_.
   bgp::RibCollection window_;
   int current_day_ = -1;
 

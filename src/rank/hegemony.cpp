@@ -13,9 +13,12 @@ namespace georank::rank {
 double Hegemony::trimmed_average(std::vector<double> scores,
                                  std::size_t vp_count) const {
   if (vp_count == 0) return 0.0;
-  // VPs that never saw the AS contribute zeros.
-  scores.resize(vp_count, 0.0);
+  if (scores.size() > vp_count) scores.resize(vp_count);
+  // VPs that never saw the AS score zero. Every score is >= 0, so those
+  // zeros would sort first: skipping them sums the same values in the
+  // same order as padding would, without the padding.
   std::sort(scores.begin(), scores.end());
+  const std::size_t zeros = vp_count - scores.size();
   std::size_t cut = 0;
   if (vp_count >= 3) {
     cut = std::max<std::size_t>(
@@ -23,7 +26,9 @@ double Hegemony::trimmed_average(std::vector<double> scores,
   }
   if (2 * cut >= vp_count) cut = (vp_count - 1) / 2;
   double sum = 0.0;
-  for (std::size_t i = cut; i < vp_count - cut; ++i) sum += scores[i];
+  for (std::size_t i = std::max(cut, zeros); i < vp_count - cut; ++i) {
+    sum += scores[i - zeros];
+  }
   return sum / static_cast<double>(vp_count - 2 * cut);
 }
 
@@ -105,10 +110,8 @@ HegemonyResult Hegemony::compute(sanitize::PathsView paths) const {
   });
   result.scores.reserve(scored.size());
   for (const std::uint32_t id : scored) {
-    // Room for trimmed_average's zero padding up front: one allocation.
-    std::vector<double> per_vp;
-    per_vp.reserve(result.vp_count);
-    per_vp.assign(grouped.begin() + offsets[id], grouped.begin() + offsets[id + 1]);
+    std::vector<double> per_vp(grouped.begin() + offsets[id],
+                               grouped.begin() + offsets[id + 1]);
     result.scores.push_back(
         ScoredAs{as_ids.key(id), trimmed_average(std::move(per_vp), result.vp_count)});
   }

@@ -77,8 +77,9 @@ class Hegemony {
   /// indexed columnar view) via the PathsView adapter — zero-copy.
   [[nodiscard]] HegemonyResult compute(sanitize::PathsView paths) const;
 
-  /// The trim-then-average step on a raw per-VP score vector, padded with
-  /// zeros up to `vp_count`. Exposed for tests (Figure 2 worked example).
+  /// The trim-then-average step on a raw per-VP score vector (scores
+  /// >= 0), as if padded with zeros up to `vp_count`. Exposed for tests
+  /// (Figure 2 worked example).
   [[nodiscard]] double trimmed_average(std::vector<double> scores,
                                        std::size_t vp_count) const;
 

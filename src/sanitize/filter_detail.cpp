@@ -11,29 +11,6 @@ namespace georank::sanitize::detail {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v;
-  h *= kFnvPrime;
-}
-
-/// Order-sensitive content fold over raw entries.
-std::uint64_t fold_entries(std::uint64_t h,
-                           std::span<const bgp::RouteEntry> entries) {
-  for (const bgp::RouteEntry& e : entries) {
-    fnv_mix(h, e.vp.ip);
-    fnv_mix(h, e.vp.asn);
-    fnv_mix(h, (static_cast<std::uint64_t>(e.prefix.address()) << 8) |
-                   e.prefix.length());
-    fnv_mix(h, e.path.size());
-    for (bgp::Asn hop : e.path.hops()) fnv_mix(h, hop);
-    fnv_mix(h, e.path.has_as_set() ? 1u : 0u);
-  }
-  return h;
-}
-
 std::uint64_t mix64(std::uint64_t x) noexcept {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
@@ -229,12 +206,9 @@ SanitizeResult run_collection(const bgp::RibCollection& ribs,
   SanitizeResult result;
   const std::size_t n = ribs.days.size();
 
-  // ---- Stability: a prefix must appear in all snapshots (§3.1); the
-  // head (days [0, N-1)) is captured on the way. ----
+  // ---- Stability: a prefix must appear in all snapshots (§3.1). ----
   DayCounts counts;
-  for (std::size_t i = 0; i + 1 < n; ++i) add_day_presence(counts, ribs.days[i]);
-  if (capture) capture->head_counts = counts;
-  if (n > 0) add_day_presence(counts, ribs.days.back());
+  for (const bgp::RibSnapshot& snap : ribs.days) add_day_presence(counts, snap);
   const std::size_t need = stability_need(options, n);
   auto stable = [&](const bgp::Prefix& p) { return counts.at(p).count >= need; };
 
@@ -281,14 +255,7 @@ SanitizeResult run_collection(const bgp::RibCollection& ribs,
   state.dedup.reserve(largest_day);
   const FilterWorld world{&counts, need, clique, &result.prefix_geo, &covered};
   for (std::size_t i = 0; i < n; ++i) {
-    if (capture && i + 1 == n) {
-      // The sequential state right before the final day: where
-      // IncrementalSanitizer::run_fast resumes.
-      capture->head_stats = result.stats;
-      capture->head_sample_counts = state.sample_counts;
-      capture->head_samples = result.samples;
-      capture->head_rows = result.paths.size();
-    }
+    if (capture && i + 1 == n) capture->head_rows = result.paths.size();
     filter_day(ribs.days[i].day, ribs.days[i].entries, world, vps, registry,
                options, state, result);
   }
@@ -300,37 +267,6 @@ SanitizeResult run_collection(const bgp::RibCollection& ribs,
     capture->state = std::move(state);
   }
   return result;
-}
-
-std::uint64_t day_digest(const bgp::RibSnapshot& snap) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(snap.day));
-  fnv_mix(h, snap.entries.size());
-  return fold_entries(h, snap.entries);
-}
-
-std::uint64_t stable_set_digest(const DayCounts& counts, std::size_t need) {
-  // Commutative fold (sum/xor of per-prefix splitmix) so the digest is
-  // independent of hash-map iteration order.
-  std::uint64_t sum = 0;
-  std::uint64_t xr = 0;
-  std::uint64_t n = 0;
-  for (const auto& [p, days] : counts) {
-    if (days.count < need) continue;
-    std::uint64_t x = (static_cast<std::uint64_t>(p.address()) << 8) | p.length();
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    sum += x;
-    xr ^= x;
-    ++n;
-  }
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, n);
-  fnv_mix(h, sum);
-  fnv_mix(h, xr);
-  return h;
 }
 
 }  // namespace georank::sanitize::detail

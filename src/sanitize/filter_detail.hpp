@@ -4,9 +4,9 @@
 // (run_collection), and every run drives the SAME per-entry decision
 // (classify) and per-day loop (filter_day) over the SAME global state
 // (stability counts, clique, prefix geolocation, covered set, dedup),
-// so an incremental run that re-filters only the changed suffix of the
-// collection produces rows identical to a from-scratch batch run by
-// construction — the bit-identity invariant the live pipeline publishes
+// so the incremental sanitizer's delta path, which re-decides only the
+// changed entries, produces rows identical to a from-scratch batch run
+// by construction — the bit-identity invariant the live pipeline publishes
 // under. Nothing here is part of the public sanitize API.
 //
 // Dedup identity. An accepted entry is kept once per distinct (VP,
@@ -50,9 +50,9 @@ struct DedupKey {
 /// Set of DedupKeys: open addressing with linear probing over one flat
 /// table kept at most half full (live keys plus tombstones), so neither
 /// a lookup nor an insert allocates. Erase leaves a tombstone, because
-/// the incremental sanitizer erases keys (run_fast's rewind,
-/// commit_delta); an insert that would pass the load limit rebuilds the
-/// table, dropping the tombstones.
+/// the incremental sanitizer's commit_delta erases keys; an insert that
+/// would pass the load limit rebuilds the table, dropping the
+/// tombstones.
 class DedupSet {
  public:
   /// Sizes the table for `keys` keys at a load factor of one half.
@@ -137,8 +137,7 @@ struct FilterWorld {
 
 /// Sequential filter state threaded across days: the dedup set, the
 /// interner its path ids come from, and the per-category sample budget.
-/// Capturing this at a day boundary is what lets the incremental
-/// sanitizer resume mid-collection.
+/// The incremental sanitizer's memo keeps it as the last day left it.
 struct FilterState {
   PathInterner paths;
   DedupSet dedup;
@@ -181,15 +180,11 @@ void filter_day(int day, std::span<const bgp::RouteEntry> entries,
                 FilterState& state, SanitizeResult& result);
 
 /// What a full run leaves beside its result, for the incremental
-/// sanitizer's memo: the sequential state at the final-day boundary and
-/// the global state after the last day.
+/// sanitizer's memo: where the final day's rows begin and the global
+/// state after the last day.
 struct RunCapture {
-  DayCounts head_counts;  // day presence over days [0, N-1)
-  SanitizeStats head_stats;
-  std::array<std::size_t, 9> head_sample_counts{};
-  std::vector<RejectedSample> head_samples;
-  std::size_t head_rows = 0;
-  DayCounts counts;  // day presence over all N days
+  std::size_t head_rows = 0;  // rows emitted for days [0, N-1)
+  DayCounts counts;           // day presence over all N days
   std::size_t need = 0;
   CoveredSet covered;
   FilterState state;  // after the final day
@@ -203,13 +198,5 @@ struct RunCapture {
     const bgp::RibCollection& ribs, const geo::GeoDatabase& geo_db,
     const geo::VpGeolocator& vps, const AsnRegistry& registry,
     const SanitizerOptions& options, RunCapture* capture = nullptr);
-
-/// Content digest of one day's raw entries (order-sensitive: entry order
-/// feeds dedup precedence). Used to prove days unchanged between runs.
-[[nodiscard]] std::uint64_t day_digest(const bgp::RibSnapshot& snap);
-
-/// Order-independent digest of the stable prefix set under `need`.
-[[nodiscard]] std::uint64_t stable_set_digest(const DayCounts& counts,
-                                              std::size_t need);
 
 }  // namespace georank::sanitize::detail

@@ -74,19 +74,11 @@ IncrementalSanitizer::IncrementalSanitizer(const geo::GeoDatabase& geo_db,
 
 void IncrementalSanitizer::invalidate() noexcept {
   memo_valid_ = false;
-  pending_ready_ = false;
-  day_digests_.clear();
   // Release the flat dedup tables rather than keep their capacity beside
   // the next run's.
   memo_ = {};
   path_refs_ = {};
   live_paths_ = 0;
-  delta_ready_ = false;
-}
-
-void IncrementalSanitizer::drop_delta_memo() noexcept {
-  memo_.counts = {};
-  delta_ready_ = false;
 }
 
 void IncrementalSanitizer::retain(std::uint32_t id) {
@@ -98,119 +90,20 @@ void IncrementalSanitizer::release(std::uint32_t id) noexcept {
   if (--path_refs_[id] == 0) --live_paths_;
 }
 
-SanitizeResult IncrementalSanitizer::run_full(const bgp::RibCollection& ribs,
-                                              Outcome* outcome) {
+SanitizeResult IncrementalSanitizer::run_full(const bgp::RibCollection& ribs) {
   invalidate();
-  const std::size_t n = ribs.days.size();
-  // The fast path needs an explicit clique: an inferred one reads the
-  // final day's stable paths, so there is no day boundary to memoize.
-  const bool capture = !options_.clique.empty() && n > 0;
+  // Capture only what the delta path can use (see the header comment).
+  const bool capture = !options_.clique.empty() &&
+                       options_.samples_per_category == 0 &&
+                       !ribs.days.empty() && final_day_keyed_by_route(ribs);
   SanitizeResult result = detail::run_collection(
       ribs, *geo_db_, *vps_, *registry_, options_, capture ? &memo_ : nullptr);
 
   if (capture) {
-    day_digests_.reserve(n);
-    for (const bgp::RibSnapshot& snap : ribs.days) {
-      day_digests_.push_back(detail::day_digest(snap));
-    }
-    stable_digest_ = detail::stable_set_digest(memo_.counts, memo_.need);
     path_refs_.assign(memo_.state.paths.size(), 0);
     memo_.state.dedup.for_each([&](const detail::DedupKey& key) { retain(key.path); });
     final_day_number_ = ribs.days.back().day;
-    delta_ready_ = options_.samples_per_category == 0 &&
-                   final_day_keyed_by_route(ribs);
     memo_valid_ = true;
-  }
-
-  if (outcome) {
-    outcome->fast_path = false;
-    outcome->days_reused = 0;
-    outcome->days_resanitized = n;
-    outcome->rows_reused = 0;
-  }
-  return result;
-}
-
-bool IncrementalSanitizer::can_fast_path(const bgp::RibCollection& ribs) {
-  pending_ready_ = false;
-  if (!memo_valid_ || options_.clique.empty() || paths_sparse()) return false;
-  const std::size_t n = ribs.days.size();
-  if (n == 0 || n != day_digests_.size()) return false;
-  // The new final day must carry a later day number than the last head
-  // day, or the presence counting below would fold them together.
-  if (n >= 2 && ribs.days[n - 1].day <= ribs.days[n - 2].day) return false;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (detail::day_digest(ribs.days[i]) != day_digests_[i]) return false;
-  }
-  // Merge the new final day into the head counts and require the stable
-  // set to come out unchanged: that pins every head filtering decision
-  // AND the announced set the cached PrefixGeoResult was computed over.
-  pending_counts_ = memo_.head_counts;
-  detail::add_day_presence(pending_counts_, ribs.days.back());
-  if (detail::stable_set_digest(pending_counts_, memo_.need) != stable_digest_) {
-    return false;
-  }
-  pending_final_digest_ = detail::day_digest(ribs.days.back());
-  pending_ready_ = true;
-  return true;
-}
-
-SanitizeResult IncrementalSanitizer::run_fast(const bgp::RibCollection& ribs,
-                                              SanitizeResult&& previous,
-                                              Outcome* outcome) {
-  if (!pending_ready_) return run_full(ribs, outcome);
-  pending_ready_ = false;
-
-  const bgp::RibSnapshot& fin = ribs.days.back();
-  detail::FilterState& state = memo_.state;
-  // Rewind the post-run dedup set to the final-day boundary by erasing
-  // exactly the keys the old final day inserted — one per emitted suffix
-  // row (a final-day entry whose key already existed was counted as a
-  // duplicate and emitted nothing). A row's path id names its key; a
-  // path the interner lacks was never emitted from this memo and holds
-  // no key. Must read previous.paths BEFORE the move below.
-  for (std::size_t i = memo_.head_rows; i < previous.paths.size(); ++i) {
-    const SanitizedPath& row = previous.paths[i];
-    const std::uint32_t id = state.paths.find(row.path.hops());
-    if (id != PathInterner::kNoId &&
-        state.dedup.erase(detail::DedupKey{row.vp, row.prefix, id})) {
-      release(id);
-    }
-  }
-  SanitizeResult result;
-  result.clique = options_.clique;
-  result.prefix_geo = std::move(previous.prefix_geo);
-  // Rows are emitted day-major, so the previous result's head rows are a
-  // prefix of `paths`; drop the old final day and keep the capacity.
-  result.paths = std::move(previous.paths);
-  result.paths.resize(memo_.head_rows);
-  result.stats = memo_.head_stats;
-  result.samples = memo_.head_samples;
-  state.sample_counts = memo_.head_sample_counts;
-
-  // The stable set is unchanged, so the memoized covered set still
-  // matches result.prefix_geo.
-  detail::FilterWorld world{&pending_counts_, memo_.need, options_.clique,
-                            &result.prefix_geo, &memo_.covered};
-  detail::filter_day(fin.day, fin.entries, world, *vps_, *registry_, options_,
-                     state, result);
-
-  // Re-arm the memo at the new final day: each new final-day row holds
-  // the key it inserted.
-  for (std::size_t i = memo_.head_rows; i < result.paths.size(); ++i) {
-    retain(state.paths.find(result.paths[i].path.hops()));
-  }
-  final_day_number_ = fin.day;
-  day_digests_.back() = pending_final_digest_;
-  memo_.counts = std::move(pending_counts_);
-  delta_ready_ = options_.samples_per_category == 0 &&
-                 final_day_keyed_by_route(ribs);
-
-  if (outcome) {
-    outcome->fast_path = true;
-    outcome->days_reused = ribs.days.size() - 1;
-    outcome->days_resanitized = 1;
-    outcome->rows_reused = memo_.head_rows;
   }
   return result;
 }
@@ -218,8 +111,7 @@ SanitizeResult IncrementalSanitizer::run_fast(const bgp::RibCollection& ribs,
 std::optional<IncrementalSanitizer::DeltaPlan> IncrementalSanitizer::plan_delta(
     int day, std::span<const bgp::RouteDelta> deltas,
     const SanitizeResult& current) const {
-  if (!memo_valid_ || !delta_ready_ || options_.clique.empty() ||
-      options_.samples_per_category != 0 || day != final_day_number_ ||
+  if (!memo_valid_ || day != final_day_number_ ||
       current.paths.size() < memo_.head_rows || paths_sparse()) {
     return std::nullopt;
   }
@@ -362,7 +254,7 @@ std::optional<IncrementalSanitizer::DeltaPlan> IncrementalSanitizer::plan_delta(
 }
 
 IncrementalSanitizer::RowEdit IncrementalSanitizer::commit_delta(
-    DeltaPlan&& plan, SanitizeResult& result, Outcome* outcome) {
+    DeltaPlan&& plan, SanitizeResult& result) {
   // Merge the surviving final-day rows with the added ones; both are in
   // (VP, prefix) order, so the patched day stays in that order.
   RowEdit edit;
@@ -416,15 +308,6 @@ IncrementalSanitizer::RowEdit IncrementalSanitizer::commit_delta(
     } else {
       memo_.counts[prefix] = days;
     }
-  }
-
-  if (outcome) {
-    // No day was re-filtered; the unchanged rows are the ones `edit`
-    // does not name, not a leading prefix.
-    outcome->fast_path = true;
-    outcome->days_reused = day_digests_.size();
-    outcome->days_resanitized = 0;
-    outcome->rows_reused = 0;
   }
   return edit;
 }

@@ -39,7 +39,8 @@ Report WhatIfEngine::run(const Scenario& scenario, std::size_t top_k) {
   // copy — no sanitizer, no store rebuild, no ranking recompute — so
   // every query starts from the same fully-warmed cache (the one
   // captured at construction, right after the baseline census) and its
-  // MemoStats are deterministic.
+  // MemoStats are deterministic. It drops the sanitizer's memo, which
+  // the next query's full run re-captures.
   (void)pipeline_.restore(baseline_checkpoint_);
 
   return build_report(scenario, edited.stats, memo, baseline_census_,

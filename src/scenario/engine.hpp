@@ -13,10 +13,10 @@
 // their memoized rankings survive — the report's MemoStats records
 // exactly how many. After the census the engine re-arms the baseline
 // through a Pipeline::Checkpoint captured at construction: restore()
-// swaps the already-sanitized baseline world back without re-running
+// copies the already-sanitized baseline world back without re-running
 // the sanitizer, so the NEXT query's counterfactual shards diff against
-// the baseline (not a previous scenario) at the cost of a store rebuild
-// rather than a full re-sanitize.
+// the baseline (not a previous scenario). Each query's apply_updates
+// re-sanitizes its edited collection in full.
 //
 // Queries are serialized on an internal mutex: the pipeline is a
 // mutable world the engine swaps back and forth, so concurrent what-ifs

@@ -79,10 +79,12 @@ bool AsGraph::remove_edge(Asn a, Asn b) {
 }
 
 std::optional<Rel> AsGraph::relationship(Asn a, Asn b) const {
-  if (!contains(a) || !contains(b)) return std::nullopt;
-  NodeId ia = id_of(a), ib = id_of(b);
-  for (const Neighbor& n : adj_[ia]) {
-    if (n.id == ib) return n.rel;
+  const auto ia = index_.find(a);
+  if (ia == index_.end()) return std::nullopt;
+  const auto ib = index_.find(b);
+  if (ib == index_.end()) return std::nullopt;
+  for (const Neighbor& n : adj_[ia->second]) {
+    if (n.id == ib->second) return n.rel;
   }
   return std::nullopt;
 }

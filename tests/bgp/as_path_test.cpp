@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
 #include <vector>
 
 #include "bgp/route.hpp"
@@ -62,6 +63,20 @@ bool naive_loop(const AsPath& path) {
   return false;
 }
 
+// A second oracle that shares no code with AsPath: collapse the
+// prepends by hand, then look for an AS seen twice.
+bool seen_set_loop(std::span<const Asn> hops) {
+  std::vector<Asn> collapsed;
+  for (const Asn hop : hops) {
+    if (collapsed.empty() || collapsed.back() != hop) collapsed.push_back(hop);
+  }
+  std::unordered_set<Asn> seen;
+  for (const Asn hop : collapsed) {
+    if (!seen.insert(hop).second) return true;
+  }
+  return false;
+}
+
 TEST(AsPath, NonadjacentDuplicateMatchesNaiveOracle) {
   util::Pcg32 rng{2301};
   std::size_t loops = 0;
@@ -79,6 +94,7 @@ TEST(AsPath, NonadjacentDuplicateMatchesNaiveOracle) {
       }
     }
     const bool expected = naive_loop(path);
+    ASSERT_EQ(seen_set_loop(path.hops()), expected) << path.to_string();
     ASSERT_EQ(path.has_nonadjacent_duplicate(), expected) << path.to_string();
     loops += expected ? 1 : 0;
   }

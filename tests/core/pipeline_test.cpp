@@ -9,6 +9,7 @@
 #include <future>
 #include <thread>
 
+#include "bgp/update_stream.hpp"
 #include "gen/internet_generator.hpp"
 #include "gen/rib_generator.hpp"
 #include "gen/scenarios.hpp"
@@ -450,7 +451,7 @@ TEST(Pipeline, ApplyUpdatesBitIdenticalToFreshLoad) {
   }
 }
 
-TEST(Pipeline, ApplyUpdatesFinalDayChangeTakesSanitizeFastPath) {
+TEST(Pipeline, ApplyUpdatesFinalDayChangeMatchesColdLoad) {
   PipelineFixture f;
   Pipeline incremental{f.world.geo_db, f.world.vps, f.world.asn_registry,
                        f.world.graph, f.config()};
@@ -458,30 +459,18 @@ TEST(Pipeline, ApplyUpdatesFinalDayChangeTakesSanitizeFastPath) {
   EXPECT_FALSE(r1.sanitize_fast_path);
   EXPECT_EQ(r1.days_resanitized, f.ribs.days.size());
 
-  // Duplicate one final-day entry: the stable-prefix set is untouched,
-  // so only the final day needs re-filtering.
+  // Duplicate one final-day entry: apply_updates re-sanitizes every day.
   bgp::RibCollection changed = f.ribs;
   changed.days.back().entries.push_back(changed.days.back().entries.front());
   Pipeline::ApplyResult r2 = incremental.apply_updates(changed);
-  EXPECT_TRUE(r2.sanitize_fast_path);
-  EXPECT_EQ(r2.days_resanitized, 1u);
+  EXPECT_FALSE(r2.sanitize_fast_path);
+  EXPECT_EQ(r2.days_resanitized, changed.days.size());
 
-  // And a head-day change must fall back to the full sanitizer.
-  bgp::RibCollection head_changed = changed;
-  head_changed.days.front().entries.pop_back();
-  Pipeline::ApplyResult r3 = incremental.apply_updates(head_changed);
-  EXPECT_FALSE(r3.sanitize_fast_path);
-  EXPECT_EQ(r3.days_resanitized, head_changed.days.size());
-
-  // The fast path's world must be bit-identical to a fresh batch load.
+  // The applied world must be bit-identical to a fresh batch load.
   Pipeline fresh{f.world.geo_db, f.world.vps, f.world.asn_registry,
                  f.world.graph, f.config()};
   fresh.load(changed);
-  Pipeline replay{f.world.geo_db, f.world.vps, f.world.asn_registry,
-                  f.world.graph, f.config()};
-  replay.apply_updates(f.ribs);
-  replay.apply_updates(changed);
-  std::vector<CountryMetrics> got = replay.all_countries();
+  std::vector<CountryMetrics> got = incremental.all_countries();
   std::vector<CountryMetrics> want = fresh.all_countries();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -499,7 +488,7 @@ TEST(Pipeline, ApplyUpdatesNoChangeKeepsShardsAndMemos) {
   ASSERT_GT(census, 0u);
 
   // Re-applying the identical collection must keep every shard and every
-  // memoized result: the live pipeline's quiet-flush fast path.
+  // memoized result, as a quiet live flush needs.
   Pipeline::ApplyResult r = pipeline.apply_updates(f.ribs);
   EXPECT_EQ(r.shards_rebuilt, 0u);
   EXPECT_EQ(r.shards_kept, pipeline.store().shards().size());
@@ -512,15 +501,20 @@ TEST(Pipeline, ApplyUpdatesNoChangeKeepsShardsAndMemos) {
 
 TEST(Pipeline, CheckpointRestoreIsBitIdenticalWithoutResanitizing) {
   PipelineFixture f;
+  // A replayed archive is keyed by route, so apply_delta can take it.
+  const bgp::RibCollection ribs =
+      bgp::replay_to_collection(bgp::collection_to_updates(f.ribs));
+  const int day = ribs.days.back().day;
   Pipeline pipeline{f.world.geo_db, f.world.vps, f.world.asn_registry,
                     f.world.graph, f.config()};
-  pipeline.load(f.ribs);
+  pipeline.load(ribs);
+  ASSERT_TRUE(pipeline.apply_delta(day, {}).has_value());
   std::vector<CountryMetrics> want = pipeline.all_countries();
   Pipeline::Checkpoint chk = pipeline.checkpoint();
 
   // Swap a genuinely different world in, then restore the checkpoint.
   bgp::RibCollection shrunk;
-  shrunk.days.assign(f.ribs.days.begin(), f.ribs.days.end() - 1);
+  shrunk.days.assign(ribs.days.begin(), ribs.days.end() - 1);
   (void)pipeline.apply_updates(shrunk);
   Pipeline::ApplyResult r = pipeline.restore(chk);
   EXPECT_EQ(r.shards_kept + r.shards_rebuilt, pipeline.store().shards().size());
@@ -533,13 +527,24 @@ TEST(Pipeline, CheckpointRestoreIsBitIdenticalWithoutResanitizing) {
     expect_bitwise_metrics(got[i], want[i]);
   }
 
-  // The checkpoint carries the sanitizer's cross-load memo too: a
-  // final-day-only change right after restore() must still fast-path.
-  bgp::RibCollection changed = f.ribs;
-  changed.days.back().entries.push_back(changed.days.back().entries.front());
-  Pipeline::ApplyResult fast = pipeline.apply_updates(changed);
-  EXPECT_TRUE(fast.sanitize_fast_path);
-  EXPECT_EQ(fast.days_resanitized, 1u);
+  // The checkpoint leaves the sanitizer's memo out: apply_delta declines
+  // after restore() until apply_updates() re-arms it, and the re-armed
+  // world equals a cold load.
+  EXPECT_FALSE(pipeline.apply_delta(day, {}).has_value());
+  (void)pipeline.apply_updates(ribs);
+  const std::optional<Pipeline::ApplyResult> delta = pipeline.apply_delta(day, {});
+  ASSERT_TRUE(delta.has_value());
+  EXPECT_TRUE(delta->sanitize_fast_path);
+  EXPECT_EQ(delta->days_resanitized, 0u);
+  Pipeline cold{f.world.geo_db, f.world.vps, f.world.asn_registry,
+                f.world.graph, f.config()};
+  cold.load(ribs);
+  got = pipeline.all_countries();
+  want = cold.all_countries();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_bitwise_metrics(got[i], want[i]);
+  }
 }
 
 TEST(Pipeline, RestoreOfUnchangedWorldKeepsEveryShardAndMemo) {

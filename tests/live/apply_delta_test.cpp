@@ -270,7 +270,7 @@ FlushCounts run_sequence(const DeltaWorld& w, std::uint64_t seed, int bursts,
 
   std::vector<UpdateMessage> pushed = bgp::collection_to_updates(w.ribs, kBase);
   for (const UpdateMessage& u : pushed) (void)live.push(u);
-  EXPECT_FALSE(live.flush().apply.delta_path);  // the first flush loads
+  EXPECT_FALSE(live.flush().apply.sanitize_fast_path);  // the first flush loads
 
   BurstGen gen{w, seed};
   util::Pcg32 rng{seed ^ 0x5eedull};
@@ -284,8 +284,7 @@ FlushCounts run_sequence(const DeltaWorld& w, std::uint64_t seed, int bursts,
       pushed.push_back(u);
     }
     const FlushReport report = live.flush();
-    if (report.apply.delta_path) {
-      EXPECT_TRUE(report.apply.sanitize_fast_path);
+    if (report.apply.sanitize_fast_path) {
       EXPECT_EQ(report.apply.days_resanitized, 0u);
       ++counts.delta;
     } else if (report.published) {
@@ -357,7 +356,7 @@ TEST(ApplyDelta, RecoveredPipelineFirstFlushIsFull) {
     }
     return into.flush();
   };
-  EXPECT_TRUE(burst(live).apply.delta_path);
+  EXPECT_TRUE(burst(live).apply.sanitize_fast_path);
 
   // Recover mid-stream onto a fresh core pipeline: the checkpoint holds
   // no world for it, so the first flush must load the whole window.
@@ -368,10 +367,9 @@ TEST(ApplyDelta, RecoveredPipelineFirstFlushIsFull) {
   recovered.restore(checkpoint);
   const FlushReport first = burst(recovered);
   EXPECT_TRUE(first.published);
-  EXPECT_FALSE(first.apply.delta_path);
   EXPECT_FALSE(first.apply.sanitize_fast_path);
   expect_matches_cold(w, recovered_pipeline, pushed, "first flush after recovery");
-  EXPECT_TRUE(burst(recovered).apply.delta_path);
+  EXPECT_TRUE(burst(recovered).apply.sanitize_fast_path);
   expect_matches_cold(w, recovered_pipeline, pushed, "delta after recovery");
 }
 
@@ -412,7 +410,7 @@ TEST(ApplyDelta, DeclinesWithoutTouchingTheWorld) {
   // An empty delta is a no-op that keeps every shard.
   const std::optional<core::Pipeline::ApplyResult> none = pipeline.apply_delta(day, {});
   ASSERT_TRUE(none.has_value());
-  EXPECT_TRUE(none->delta_path);
+  EXPECT_TRUE(none->sanitize_fast_path);
   EXPECT_EQ(none->shards_rebuilt, 0u);
   EXPECT_TRUE(io::encode_snapshot(serve::Snapshot::build(pipeline, fixed_meta())) ==
               before);
@@ -469,7 +467,7 @@ TEST(ApplyDelta, QueriesRaceApplyDelta) {
       (void)live.push(u);
       pushed.push_back(u);
     }
-    if (live.flush().apply.delta_path) ++deltas;
+    if (live.flush().apply.sanitize_fast_path) ++deltas;
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();

@@ -255,11 +255,11 @@ TEST(UpdatePipeline, ApplyUpdatesAfterLiveReplayKeepsShardsAndMemos) {
   UpdatePipeline live{pipeline, service, options};
   std::size_t delta_flushes = 0;
   for (const UpdateMessage& u : f.archive) {
-    if (std::optional<FlushReport> r = live.push(u); r && r->apply.delta_path) {
+    if (std::optional<FlushReport> r = live.push(u); r && r->apply.sanitize_fast_path) {
       ++delta_flushes;
     }
   }
-  if (live.drain().apply.delta_path) ++delta_flushes;
+  if (live.drain().apply.sanitize_fast_path) ++delta_flushes;
   ASSERT_GT(delta_flushes, 0u);
 
   core::Pipeline::ApplyResult again = pipeline.apply_updates(

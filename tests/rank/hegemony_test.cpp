@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace georank::rank {
 namespace {
 
@@ -48,6 +55,54 @@ TEST(TrimmedAverage, EmptyVpSet) {
 TEST(TrimmedAverage, SingleVpNoTrim) {
   Hegemony h;
   EXPECT_DOUBLE_EQ(h.trimmed_average({0.8}, 1), 0.8);
+}
+
+/// The padded formulation: zeros up to vp_count, sort all, trim, sum.
+double padded_trimmed_average(std::vector<double> scores, std::size_t vp_count,
+                              double trim) {
+  if (vp_count == 0) return 0.0;
+  scores.resize(vp_count, 0.0);
+  std::sort(scores.begin(), scores.end());
+  std::size_t cut = 0;
+  if (vp_count >= 3) {
+    cut = std::max<std::size_t>(1, static_cast<std::size_t>(
+                                       trim * static_cast<double>(vp_count)));
+  }
+  if (2 * cut >= vp_count) cut = (vp_count - 1) / 2;
+  double sum = 0.0;
+  for (std::size_t i = cut; i < vp_count - cut; ++i) sum += scores[i];
+  return sum / static_cast<double>(vp_count - 2 * cut);
+}
+
+TEST(TrimmedAverage, BitIdenticalToPaddedFormulation) {
+  util::Pcg32 rng{0x7a1dull};
+  std::size_t clamped = 0;
+  // trim 0.10 is the paper's; 0.45 and 0.6 clamp the cut on most sizes.
+  for (const double trim : {0.10, 0.25, 0.45, 0.6}) {
+    const Hegemony h{HegemonyOptions{trim}};
+    for (int round = 0; round < 500; ++round) {
+      const std::size_t vp_count = rng.below(40);  // includes 0, 1 and 2
+      const std::size_t observed = vp_count == 0 ? 0 : rng.below(
+                                       static_cast<std::uint32_t>(vp_count) + 1);
+      const bool all_zero = rng.chance(0.1);
+      std::vector<double> scores;
+      for (std::size_t i = 0; i < observed; ++i) {
+        // Observed zeros mix with the padding zeros in the sorted order.
+        scores.push_back(all_zero || rng.chance(0.2) ? 0.0 : rng.uniform());
+      }
+      if (vp_count >= 3 &&
+          2 * static_cast<std::size_t>(trim * static_cast<double>(vp_count)) >=
+              vp_count) {
+        ++clamped;
+      }
+      const double want = padded_trimmed_average(scores, vp_count, trim);
+      const double got = h.trimmed_average(scores, vp_count);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+          << "trim " << trim << " round " << round << " vp_count " << vp_count
+          << " observed " << observed;
+    }
+  }
+  EXPECT_GT(clamped, 0u);
 }
 
 TEST(Hegemony, SingleVpFractions) {

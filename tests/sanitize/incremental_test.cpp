@@ -1,14 +1,17 @@
-// IncrementalSanitizer: the fast path must be indistinguishable from a
+// IncrementalSanitizer: the full run must be indistinguishable from a
 // batch PathSanitizer::run over the same collection — every row, every
-// counter, every audit sample — and every precondition violation must
-// fall back to the full run rather than silently diverge.
+// counter, every audit sample — and the delta path must decline on every
+// precondition violation rather than silently diverge (the caller then
+// falls back to the full run).
 #include "sanitize/incremental_sanitizer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "sanitize/path_sanitizer.hpp"
 
@@ -72,11 +75,33 @@ struct Fixture {
     return o;
   }
 
-  [[nodiscard]] SanitizeResult batch() const {
-    PathSanitizer sanitizer{geo_db, vps, registry, options()};
+  /// No audit samples and a final day in (VP, prefix) order: the delta
+  /// path's structural preconditions.
+  static SanitizerOptions delta_options() {
+    SanitizerOptions o = options();
+    o.samples_per_category = 0;
+    return o;
+  }
+  void sort_final_day() {
+    std::vector<RouteEntry>& entries = ribs.days.back().entries;
+    std::sort(entries.begin(), entries.end(),
+              [](const RouteEntry& a, const RouteEntry& b) {
+                return a.vp != b.vp ? a.vp < b.vp : a.prefix < b.prefix;
+              });
+  }
+
+  [[nodiscard]] SanitizeResult batch(const SanitizerOptions& o = options()) const {
+    PathSanitizer sanitizer{geo_db, vps, registry, o};
     return sanitizer.run(ribs);
   }
 };
+
+/// An empty delta against final day `day`: planned iff the memo is armed
+/// at that day.
+bool plans_empty_delta(const IncrementalSanitizer& inc, int day,
+                       const SanitizeResult& current) {
+  return inc.plan_delta(day, {}, current).has_value();
+}
 
 void expect_equal(const SanitizeResult& got, const SanitizeResult& want) {
   ASSERT_EQ(got.paths.size(), want.paths.size());
@@ -112,214 +137,102 @@ void expect_equal(const SanitizeResult& got, const SanitizeResult& want) {
 TEST(IncrementalSanitizer, FullRunMatchesBatchAndReportsOutcome) {
   Fixture f;
   IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  IncrementalSanitizer::Outcome outcome;
-  SanitizeResult result = inc.run_full(f.ribs, &outcome);
-  expect_equal(result, f.batch());
-  EXPECT_FALSE(outcome.fast_path);
-  EXPECT_EQ(outcome.days_resanitized, 3u);
-}
-
-TEST(IncrementalSanitizer, FastPathMatchesBatchOnFinalDayGrowth) {
-  Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  SanitizeResult previous = inc.run_full(f.ribs);
-
-  // New path for a stable prefix, a brand-new (hence unstable) prefix,
-  // and an exact duplicate of a head entry.
-  f.add_final_day(kVpUs, "10.1.0.0/16", AsPath{1, 3, 10});
-  f.add_final_day(kVpAu, "10.9.0.0/16", AsPath{2, 12});
-  f.add_final_day(kVpUs, "10.1.0.0/16", AsPath{1, 10});
-
-  ASSERT_TRUE(inc.can_fast_path(f.ribs));
-  IncrementalSanitizer::Outcome outcome;
-  SanitizeResult result = inc.run_fast(f.ribs, std::move(previous), &outcome);
-  expect_equal(result, f.batch());
-  EXPECT_TRUE(outcome.fast_path);
-  EXPECT_EQ(outcome.days_reused, 2u);
-  EXPECT_EQ(outcome.days_resanitized, 1u);
-}
-
-TEST(IncrementalSanitizer, RepeatedFastPathsStayConsistent) {
-  Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
   SanitizeResult result = inc.run_full(f.ribs);
-
-  for (int round = 0; round < 3; ++round) {
-    f.add_final_day(kVpAu, "20.1.0.0/16",
-                    AsPath{2, static_cast<bgp::Asn>(30 + round), 20});
-    ASSERT_TRUE(inc.can_fast_path(f.ribs)) << "round " << round;
-    result = inc.run_fast(f.ribs, std::move(result));
-    expect_equal(result, f.batch());
-  }
-}
-
-TEST(IncrementalSanitizer, FastPathMatchesBatchOnFinalDayRewrite) {
-  // NOT an append: an entry lands at the FRONT of the final day and one
-  // final-day route is withdrawn. The stable set is intact (both
-  // prefixes keep their three-day presence) so the fast path is still
-  // taken: it rewinds the dedup state to the final-day boundary and
-  // re-filters the whole day.
-  Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  SanitizeResult previous = inc.run_full(f.ribs);
-  const std::size_t head_rows = inc.memo_head_rows();
-
-  auto& entries = f.ribs.days.back().entries;
-  entries.insert(entries.begin(),
-                 RouteEntry{kVpAu, pfx("10.1.0.0/16"), AsPath{2, 14, 10}});
-  entries.pop_back();  // drop kVpAu's 20.1.0.0/16 (kVpUs still announces it)
-
-  ASSERT_TRUE(inc.can_fast_path(f.ribs));
-  IncrementalSanitizer::Outcome outcome;
-  SanitizeResult result = inc.run_fast(f.ribs, std::move(previous), &outcome);
   expect_equal(result, f.batch());
-  EXPECT_TRUE(outcome.fast_path);
-  EXPECT_EQ(outcome.rows_reused, head_rows);
-}
-
-TEST(IncrementalSanitizer, AppendFastPathReusesEveryPreviousRow) {
-  Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  SanitizeResult previous = inc.run_full(f.ribs);
-  const std::size_t previous_rows = previous.paths.size();
-
-  // Strict extension of the memoized final day: one fresh row and one
-  // merged duplicate on top of every previous row.
-  f.add_final_day(kVpAu, "10.1.0.0/16", AsPath{2, 15, 10});
-  f.add_final_day(kVpAu, "10.1.0.0/16", AsPath{2, 15, 10});
-
-  ASSERT_TRUE(inc.can_fast_path(f.ribs));
-  IncrementalSanitizer::Outcome outcome;
-  SanitizeResult result = inc.run_fast(f.ribs, std::move(previous), &outcome);
-  expect_equal(result, f.batch());
-  EXPECT_TRUE(outcome.fast_path);
-  EXPECT_EQ(result.paths.size(), previous_rows + 1);
-}
-
-TEST(IncrementalSanitizer, AlternatingAppendAndRewriteStayConsistent) {
-  Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  SanitizeResult result = inc.run_full(f.ribs);
-
-  // Append...
-  f.add_final_day(kVpUs, "20.1.0.0/16", AsPath{1, 16, 20});
-  ASSERT_TRUE(inc.can_fast_path(f.ribs));
-  result = inc.run_fast(f.ribs, std::move(result));
-  expect_equal(result, f.batch());
-
-  // ...then reorder the final day (same entries, different order)...
-  auto& entries = f.ribs.days.back().entries;
-  std::swap(entries.front(), entries.back());
-  ASSERT_TRUE(inc.can_fast_path(f.ribs));
-  result = inc.run_fast(f.ribs, std::move(result));
-  expect_equal(result, f.batch());
-
-  // ...then append again on top of the rewritten day.
-  f.add_final_day(kVpAu, "20.1.0.0/16", AsPath{2, 17, 20});
-  ASSERT_TRUE(inc.can_fast_path(f.ribs));
-  result = inc.run_fast(f.ribs, std::move(result));
-  expect_equal(result, f.batch());
-}
-
-TEST(IncrementalSanitizer, UnchangedCollectionFastPathsToIdenticalResult) {
-  Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  SanitizeResult previous = inc.run_full(f.ribs);
-  ASSERT_TRUE(inc.can_fast_path(f.ribs));
-  SanitizeResult result = inc.run_fast(f.ribs, std::move(previous));
-  expect_equal(result, f.batch());
+  // Audit samples are on, so no memo is captured and no delta plans.
+  EXPECT_EQ(inc.interned_paths(), 0u);
+  EXPECT_FALSE(plans_empty_delta(inc, f.ribs.days.back().day, result));
 }
 
 TEST(IncrementalSanitizer, StablePrefixVanishingFallsBackAndMatches) {
   Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  SanitizeResult ignored = inc.run_full(f.ribs);
-  (void)ignored;
+  f.sort_final_day();
+  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::delta_options()};
+  const SanitizeResult current = inc.run_full(f.ribs);
 
   // Withdraw every final-day route for 20.1.0.0/16: its day count drops
   // below the stability threshold, the stable set changes, and the
   // cached PrefixGeoResult is no longer valid.
+  std::vector<bgp::RouteDelta> deltas;
   auto& entries = f.ribs.days.back().entries;
+  for (const RouteEntry& e : entries) {
+    if (e.prefix == pfx("20.1.0.0/16")) {
+      deltas.push_back(bgp::RouteDelta{e.vp, e.prefix, e.path, std::nullopt});
+    }
+  }
+  ASSERT_EQ(deltas.size(), 2u);
+  EXPECT_FALSE(inc.plan_delta(f.ribs.days.back().day, deltas, current).has_value());
+  // Withdrawing one of the two keeps the prefix present: that plans.
+  EXPECT_TRUE(inc.plan_delta(f.ribs.days.back().day,
+                             std::span<const bgp::RouteDelta>{deltas.data(), 1},
+                             current)
+                  .has_value());
+
   std::erase_if(entries, [](const RouteEntry& e) {
     return e.prefix == pfx("20.1.0.0/16");
   });
-
-  EXPECT_FALSE(inc.can_fast_path(f.ribs));
-  IncrementalSanitizer::Outcome outcome;
-  SanitizeResult result = inc.run_full(f.ribs, &outcome);
-  expect_equal(result, f.batch());
-  EXPECT_FALSE(outcome.fast_path);
+  expect_equal(inc.run_full(f.ribs), f.batch(Fixture::delta_options()));
 }
 
 TEST(IncrementalSanitizer, HeadDayChangeFallsBack) {
   Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  SanitizeResult ignored = inc.run_full(f.ribs);
-  (void)ignored;
-  f.ribs.days[1].entries.push_back(
-      RouteEntry{kVpUs, pfx("10.2.0.0/16"), AsPath{1, 13}});
-  EXPECT_FALSE(inc.can_fast_path(f.ribs));
+  f.sort_final_day();
+  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::delta_options()};
+  const SanitizeResult current = inc.run_full(f.ribs);
+  // A delta names the final day only; one aimed at a head day declines.
+  const bgp::RouteDelta added{kVpUs, pfx("10.2.0.0/16"), std::nullopt, AsPath{1, 13}};
+  EXPECT_FALSE(inc.plan_delta(1, std::span<const bgp::RouteDelta>{&added, 1}, current)
+                   .has_value());
+  EXPECT_TRUE(plans_empty_delta(inc, f.ribs.days.back().day, current));
 }
 
 TEST(IncrementalSanitizer, DayCountChangeFallsBack) {
   Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  SanitizeResult ignored = inc.run_full(f.ribs);
-  (void)ignored;
+  f.sort_final_day();
+  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::delta_options()};
+  const SanitizeResult current = inc.run_full(f.ribs);
+  // A new day is not a delta to the memoized final day.
   f.ribs.days.push_back(bgp::RibSnapshot{3, {}});
-  EXPECT_FALSE(inc.can_fast_path(f.ribs));
-  // The grown collection full-runs fine and re-arms the memo.
-  SanitizeResult result = inc.run_full(f.ribs);
-  expect_equal(result, f.batch());
-  EXPECT_TRUE(inc.can_fast_path(f.ribs));
+  EXPECT_FALSE(plans_empty_delta(inc, 3, current));
+  // The grown collection full-runs fine and re-arms the memo at day 3.
+  const SanitizeResult result = inc.run_full(f.ribs);
+  expect_equal(result, f.batch(Fixture::delta_options()));
+  EXPECT_TRUE(plans_empty_delta(inc, 3, result));
+  EXPECT_FALSE(plans_empty_delta(inc, 2, result));
 }
 
 TEST(IncrementalSanitizer, InferredCliqueNeverFastPaths) {
   Fixture f;
-  SanitizerOptions options = Fixture::options();
+  f.sort_final_day();
+  SanitizerOptions options = Fixture::delta_options();
   options.clique.clear();
   IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, options};
-  SanitizeResult ignored = inc.run_full(f.ribs);
-  (void)ignored;
-  EXPECT_FALSE(inc.can_fast_path(f.ribs));
+  const SanitizeResult result = inc.run_full(f.ribs);
+  EXPECT_FALSE(plans_empty_delta(inc, f.ribs.days.back().day, result));
 
   // The full run still matches the batch sanitizer with inference on.
   PathSanitizer batch{f.geo_db, f.vps, f.registry, options};
-  expect_equal(inc.run_full(f.ribs), batch.run(f.ribs));
-}
-
-TEST(IncrementalSanitizer, RunFastWithoutStagedCheckFallsBackToFull) {
-  Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  // No can_fast_path() call staged anything: run_fast must full-run.
-  IncrementalSanitizer::Outcome outcome;
-  SanitizeResult result = inc.run_fast(f.ribs, SanitizeResult{}, &outcome);
-  expect_equal(result, f.batch());
-  EXPECT_FALSE(outcome.fast_path);
+  expect_equal(result, batch.run(f.ribs));
 }
 
 TEST(IncrementalSanitizer, InvalidateForcesFullRun) {
   Fixture f;
-  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::options()};
-  SanitizeResult ignored = inc.run_full(f.ribs);
-  (void)ignored;
-  ASSERT_TRUE(inc.can_fast_path(f.ribs));
+  f.sort_final_day();
+  IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, Fixture::delta_options()};
+  const SanitizeResult result = inc.run_full(f.ribs);
+  ASSERT_TRUE(plans_empty_delta(inc, f.ribs.days.back().day, result));
   inc.invalidate();
-  EXPECT_FALSE(inc.can_fast_path(f.ribs));
+  EXPECT_FALSE(plans_empty_delta(inc, f.ribs.days.back().day, result));
 }
 
 TEST(IncrementalSanitizer, DeltaInternerStaysBounded) {
-  // A delta-ready memo: no samples, and a final day in (VP, prefix)
-  // order. Each burst moves one key to a path never seen before, so the
-  // interner gains an id per burst while the live ids stay put.
+  // A delta-ready memo. Each burst moves one key to a path never seen
+  // before, so the interner gains an id per burst while the live ids
+  // stay put.
   Fixture f;
+  f.sort_final_day();
   std::vector<RouteEntry>& final_day = f.ribs.days.back().entries;
-  std::sort(final_day.begin(), final_day.end(),
-            [](const RouteEntry& a, const RouteEntry& b) {
-              return a.vp != b.vp ? a.vp < b.vp : a.prefix < b.prefix;
-            });
-  SanitizerOptions options = Fixture::options();
-  options.samples_per_category = 0;
+  const SanitizerOptions options = Fixture::delta_options();
   IncrementalSanitizer inc{f.geo_db, f.vps, f.registry, options};
   SanitizeResult current = inc.run_full(f.ribs);
   ASSERT_GT(inc.live_paths(), 0u);
@@ -353,9 +266,8 @@ TEST(IncrementalSanitizer, DeltaInternerStaysBounded) {
   }
   EXPECT_GE(commits, inc.live_paths());
 
-  // The fast path declines as well, and the full run it falls back to
-  // equals a cold run and starts a fresh interner.
-  EXPECT_FALSE(inc.can_fast_path(f.ribs));
+  // The full run it falls back to equals a cold run and starts a fresh
+  // interner.
   PathSanitizer batch{f.geo_db, f.vps, f.registry, options};
   expect_equal(inc.run_full(f.ribs), batch.run(f.ribs));
   EXPECT_EQ(inc.interned_paths(), inc.live_paths());

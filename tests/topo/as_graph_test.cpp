@@ -48,7 +48,10 @@ TEST(AsGraph, RelationshipAbsent) {
   g.add_as(1);
   g.add_as(2);
   EXPECT_FALSE(g.relationship(1, 2).has_value());
+  // An unknown AS on either side.
   EXPECT_FALSE(g.relationship(1, 99).has_value());
+  EXPECT_FALSE(g.relationship(99, 2).has_value());
+  EXPECT_FALSE(g.relationship(98, 99).has_value());
 }
 
 TEST(AsGraph, RejectsSelfAndDuplicateEdges) {

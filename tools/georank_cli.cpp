@@ -1173,11 +1173,9 @@ int cmd_live(const Args& args) {
 
   auto print_report = [](const live::FlushReport& report) {
     if (!report.published) return;
-    // delta = Pipeline::apply_delta patched the burst's routes; fast =
-    // apply_updates re-filtered the final day only; full = everything.
-    const char* path = report.apply.delta_path          ? "delta"
-                       : report.apply.sanitize_fast_path ? "fast"
-                                                         : "full";
+    // delta = Pipeline::apply_delta patched the burst's routes; full =
+    // apply_updates re-sanitized the whole window.
+    const char* path = report.apply.sanitize_fast_path ? "delta" : "full";
     std::printf("  flush -> snapshot %llu: %zu updates (%zu ann, %zu wd), "
                 "%zu prefixes -> %zu countries, path %s, shards %zu kept / "
                 "%zu rebuilt, memos %zu warm, %.1f ms\n",
