@@ -17,8 +17,11 @@
 #            de-peering and a hijack) through `georank whatif --out`,
 #            boot `georank serve --dir` (which attaches the what-if
 #            engine), POST the same scenario texts to /v1/whatif and
-#            byte-compare each response against the CLI's JSON; also
-#            asserts the 400/405 contract on malformed input
+#            byte-compare each response against the CLI's JSON, then
+#            POST both again in reverse order at top=4 (fresh LRU keys,
+#            so the engine reruns from its shared baseline) and compare
+#            those too; also asserts the 400/405 contract on malformed
+#            input
 #   scale    internet-preset smoke: generate a 10x world with the CLI
 #            (`--preset internet`), build a snapshot from it under
 #            /usr/bin/time -v, and assert the peak RSS stays under the
@@ -230,6 +233,20 @@ if [[ "$SKIP_WHATIF" -eq 0 ]]; then
     cmp "$WHATIF_TMP/$SC.json" "$WHATIF_TMP/$SC.http" \
       || { echo "whatif tier FAIL: $SC endpoint response differs from CLI JSON"; exit 1; }
   done
+  # Second pass, reverse order at top=4: new LRU keys, so the engine
+  # runs again from the baseline world the checkpoint shares with the
+  # two counterfactuals above. A write through that shared world shows
+  # as a diff against a fresh CLI run.
+  for SC in hijack depeer; do
+    ./build/tools/georank whatif --dir "$WHATIF_TMP/world" \
+      --scenario "$WHATIF_TMP/$SC.txt" --id 7 --top 4 \
+      --out "$WHATIF_TMP/$SC.top4.json" > /dev/null
+    curl -sf --data-binary @"$WHATIF_TMP/$SC.txt" "$BASE/v1/whatif?top=4" \
+      -o "$WHATIF_TMP/$SC.top4.http" \
+      || { echo "whatif tier FAIL: second POST /v1/whatif ($SC) not 2xx"; exit 1; }
+    cmp "$WHATIF_TMP/$SC.top4.json" "$WHATIF_TMP/$SC.top4.http" \
+      || { echo "whatif tier FAIL: second-pass $SC response differs from CLI JSON"; exit 1; }
+  done
 
   # Contract: malformed scenarios are 400, GET on the POST route is 405.
   CODE="$(printf 'depeer AU AU\n' \
@@ -242,7 +259,7 @@ if [[ "$SKIP_WHATIF" -eq 0 ]]; then
   whatif_cleanup
   WHATIF_PID=""
   trap - EXIT
-  echo "whatif tier OK (port $PORT, 2 scenarios byte-identical CLI vs endpoint)"
+  echo "whatif tier OK (port $PORT, 2 scenarios x 2 passes byte-identical CLI vs endpoint)"
 else
   echo "==> whatif stage skipped (--skip-whatif)"
 fi

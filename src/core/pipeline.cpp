@@ -1,13 +1,219 @@
 #include "core/pipeline.hpp"
 
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "util/parallel_for.hpp"
 
 namespace georank::core {
+
+/// Everything one load produces. A load or apply_updates builds a World
+/// whole and publishes it by pointer; a Checkpoint shares the pointer.
+/// After publication only two things write to a World: queries fill its
+/// memo, and apply_delta patches it in place, under the exclusive reload
+/// lock and only while no Checkpoint shares it.
+struct World {
+  using Digests = std::unordered_map<std::uint16_t, std::uint64_t>;
+  /// Memoized per-country results, keyed by CountryCode::raw(). A value
+  /// is a pure function of its country's digest, so a later world whose
+  /// digest for the country is unchanged shares the pointer.
+  template <class Value>
+  using MemoMap = std::unordered_map<std::uint16_t, std::shared_ptr<const Value>>;
+  struct MemoMaps {
+    MemoMap<CountryMetrics> country;
+    MemoMap<OutboundMetrics> outbound;
+    MemoMap<CountryHealth> health;
+  };
+
+  World(sanitize::SanitizeResult result, bgp::MrtParseStats stats)
+      : sanitized(std::move(result)),
+        store(sanitized.paths),
+        parse_stats(std::move(stats)) {}
+
+  sanitize::SanitizeResult sanitized;
+  ShardedPathStore store;
+  bgp::MrtParseStats parse_stats;
+  std::unordered_map<geo::CountryCode, Pipeline::GeoEvidence, geo::CountryCodeHash>
+      geo_evidence;
+  // Accepted rows per distinct sanitized prefix: a prefix's accepted
+  // weight counts toward its country while it has at least one row.
+  // apply_delta adjusts these (and a prefix's country tally when its
+  // count leaves or reaches zero) instead of rescanning.
+  std::unordered_map<bgp::Prefix, std::uint32_t, bgp::PrefixHash> prefix_rows;
+  // Per-country content digests. `country_digests` folds geo evidence
+  // in (CountryMetrics.confidence and health depend on it);
+  // `outbound_digests` is the raw shard digest.
+  Digests country_digests;
+  Digests outbound_digests;
+  // Queries hold the reload lock shared and take `memo_mutex` for each
+  // map access (never while computing a metric, so concurrent
+  // all_countries() workers do not serialize on each other). Writers
+  // hold the reload lock exclusively, which excludes every query, and
+  // use the maps directly.
+  std::mutex memo_mutex;
+  MemoMaps memo;
+};
+
+namespace {
+
+using Digests = World::Digests;
+template <class Value>
+using MemoMap = World::MemoMap<Value>;
+
+Pipeline::GeoEvidence evidence_of(const World& world, geo::CountryCode country) {
+  const auto it = world.geo_evidence.find(country);
+  return it == world.geo_evidence.end() ? Pipeline::GeoEvidence{} : it->second;
+}
+
+/// Moves one row's prefix in or out of the per-prefix tallies behind the
+/// geo evidence.
+void count_geo_evidence_row(World& world, const sanitize::SanitizedPath& row,
+                            bool added) {
+  if (added) {
+    if (++world.prefix_rows[row.prefix] == 1) {
+      world.geo_evidence[row.prefix_country].accepted += row.weight;
+    }
+    return;
+  }
+  const auto it = world.prefix_rows.find(row.prefix);
+  if (--it->second == 0) {
+    world.prefix_rows.erase(it);
+    world.geo_evidence[row.prefix_country].accepted -= row.weight;
+  }
+}
+
+/// Recomputes both digest maps from the world's store and geo evidence.
+void digest_countries(World& world) {
+  Digests outbound_digests;
+  Digests country_digests;
+  outbound_digests.reserve(world.store.shards().size());
+  country_digests.reserve(world.store.shards().size());
+  for (const PathShard& shard : world.store.shards()) {
+    const std::uint16_t key = shard.country().raw();
+    outbound_digests.emplace(key, shard.digest());
+    std::uint64_t d = shard.digest();
+    const Pipeline::GeoEvidence evidence = evidence_of(world, shard.country());
+    d ^= evidence.accepted + 0x9e3779b97f4a7c15ull + (d << 6) + (d >> 2);
+    d ^= evidence.rejected + 0x9e3779b97f4a7c15ull + (d << 6) + (d >> 2);
+    d ^= evidence.rejected_prefixes + 0x9e3779b97f4a7c15ull + (d << 6) +
+         (d >> 2);
+    country_digests.emplace(key, d);
+  }
+  world.country_digests = std::move(country_digests);
+  world.outbound_digests = std::move(outbound_digests);
+}
+
+/// Fills a freshly built world's geo evidence (accepted weight once per
+/// distinct sanitized prefix, plus the no-consensus weight each
+/// plurality country lost), per-prefix row counts and digests.
+void derive(World& world) {
+  for (const sanitize::SanitizedPath& row : world.sanitized.paths) {
+    count_geo_evidence_row(world, row, /*added=*/true);
+  }
+  for (const auto& [country, tally] :
+       world.sanitized.prefix_geo.no_consensus_by_plurality()) {
+    Pipeline::GeoEvidence& evidence = world.geo_evidence[country];
+    evidence.rejected += tally.addresses;
+    evidence.rejected_prefixes += tally.prefixes;
+  }
+  digest_countries(world);
+}
+
+/// Whether `key` has the same digest in both worlds; a country missing
+/// from either side has changed.
+bool same_digest(const Digests& then, const Digests& now, std::uint16_t key) {
+  const auto t = then.find(key);
+  const auto n = now.find(key);
+  return t != then.end() && n != now.end() && t->second == n->second;
+}
+
+/// Counts the entries of `outgoing` whose digest changed from `then` to
+/// `now`; with `into`, copies every other entry there.
+template <class Value>
+std::size_t evict(const MemoMap<Value>& outgoing, const Digests& then,
+                  const Digests& now, MemoMap<Value>* into) {
+  std::size_t evicted = 0;
+  // lint: ordered(per-entry digest check into a keyed map; no order reaches a result)
+  for (const auto& [key, value] : outgoing) {
+    if (!same_digest(then, now, key)) {
+      ++evicted;
+    } else if (into != nullptr) {
+      into->emplace(key, value);
+    }
+  }
+  return evicted;
+}
+
+/// What a writer kept when `next` replaces a world with the digests
+/// `country_then`/`outbound_then` and the memo `outgoing`, by the one
+/// rule every writer counts by: a shard or memo entry is kept when its
+/// country's digest is unchanged. With `carry`, the kept entries are
+/// copied into next's (empty) memo; memos_kept counts next's entries.
+Pipeline::ApplyResult settle(const Digests& country_then,
+                             const Digests& outbound_then,
+                             const World::MemoMaps& outgoing, World& next,
+                             bool carry) {
+  Pipeline::ApplyResult out;
+  for (const PathShard& shard : next.store.shards()) {
+    if (same_digest(outbound_then, next.outbound_digests, shard.country().raw())) {
+      ++out.shards_kept;
+    } else {
+      ++out.shards_rebuilt;
+    }
+  }
+  World::MemoMaps& memo = next.memo;
+  // Health reads the shard rows plus the geo evidence, both of which
+  // the country digest folds in.
+  out.country_memos_evicted = evict(outgoing.country, country_then,
+                                    next.country_digests,
+                                    carry ? &memo.country : nullptr);
+  out.memos_evicted =
+      out.country_memos_evicted +
+      evict(outgoing.health, country_then, next.country_digests,
+            carry ? &memo.health : nullptr) +
+      evict(outgoing.outbound, outbound_then, next.outbound_digests,
+            carry ? &memo.outbound : nullptr);
+  out.country_memos_kept = memo.country.size();
+  out.memos_kept = memo.country.size() + memo.outbound.size() + memo.health.size();
+  return out;
+}
+
+/// settle() against the world `next` replaces (none before the first
+/// load).
+Pipeline::ApplyResult settle_from(const World* outgoing, World& next, bool carry) {
+  if (outgoing == nullptr) return settle({}, {}, {}, next, carry);
+  return settle(outgoing->country_digests, outgoing->outbound_digests,
+                outgoing->memo, next, carry);
+}
+
+/// The memoizing body of country(), outbound() and country_health(),
+/// called with the reload lock held shared: a hit returns the shared
+/// value; a miss computes outside the memo mutex and keeps whichever
+/// racing miss stored first (they compute the same value).
+template <class Value, class Compute>
+Value memoized(World& world, MemoMap<Value> World::MemoMaps::*map,
+               geo::CountryCode country, const Compute& compute) {
+  {
+    const std::lock_guard<std::mutex> lock(world.memo_mutex);
+    const MemoMap<Value>& memo = world.memo.*map;
+    if (const auto it = memo.find(country.raw()); it != memo.end()) {
+      return *it->second;
+    }
+  }
+  std::shared_ptr<const Value> value = std::make_shared<const Value>(compute());
+  const std::lock_guard<std::mutex> lock(world.memo_mutex);
+  return *(world.memo.*map).try_emplace(country.raw(), std::move(value)).first->second;
+}
+
+const bgp::MrtParseStats kNoParseStats{};
+
+}  // namespace
 
 Pipeline::Pipeline(const geo::GeoDatabase& geo_db, const geo::VpGeolocator& vps,
                    const sanitize::AsnRegistry& registry,
@@ -32,267 +238,89 @@ Pipeline::ApplyResult Pipeline::apply_updates(const bgp::RibCollection& ribs) {
 
 Pipeline::ApplyResult Pipeline::swap_in(const bgp::RibCollection& ribs,
                                         std::optional<bgp::MrtParseStats> stats) {
-  const std::lock_guard<std::mutex> serial(cache_->load_serial);
-  // Sanitize outside the reload lock (it is by far the expensive part),
-  // then swap the world in exclusively so racing queries see either the
-  // old state or the new one, never a mix. run_full also recaptures the
-  // sanitizer memo apply_delta builds on.
-  sanitize::SanitizeResult result = sanitizer_.run_full(ribs);
-  const std::lock_guard<std::mutex> gate(cache_->reload_gate);
-  const std::unique_lock<std::shared_mutex> reload(cache_->reload);
-  if (stats) parse_stats_ = std::move(*stats);
-  sanitized_ = std::move(result);
-  ApplyResult out;
+  const std::lock_guard<std::mutex> serial(locks_->load_serial);
+  // Build the whole next world outside the reload lock — sanitize is by
+  // far the expensive part, then the store — while queries keep reading
+  // the current one. load_serial excludes every other writer, so world_
+  // is stable here. run_full also recaptures the sanitizer memo
+  // apply_delta builds on.
+  if (!stats) stats = world_ ? world_->parse_stats : bgp::MrtParseStats{};
+  auto next = std::make_shared<World>(sanitizer_.run_full(ribs), std::move(*stats));
+  derive(*next);
+
+  std::shared_ptr<World> outgoing;  // freed after the locks below
+  const std::lock_guard<std::mutex> gate(locks_->reload_gate);
+  const std::unique_lock<std::shared_mutex> reload(locks_->reload);
+  ApplyResult out = settle_from(world_.get(), *next, /*carry=*/true);
   out.days_resanitized = ribs.days.size();
-  const std::span<const sanitize::SanitizedPath> paths{sanitized_->paths};
-  if (store_.has_value() && !stats) {
-    const ShardedPathStore::RebuildStats rebuilt = store_->rebuild(paths);
-    out.shards_kept = rebuilt.shards_kept;
-    out.shards_rebuilt = rebuilt.shards_rebuilt;
-  } else {
-    // A load frees the old store before building the new one, so the
-    // two never coexist; apply_updates keeps unchanged shards instead.
-    store_.emplace(paths);
-    out.shards_rebuilt = store_->shards().size();
-  }
-  rebuild_geo_evidence();
-  const EvictStats evicted = evict_changed_countries();
-  out.memos_evicted = evicted.evicted;
-  out.memos_kept = evicted.kept;
-  out.country_memos_evicted = evicted.country_evicted;
-  out.country_memos_kept = evicted.country_kept;
+  outgoing = std::exchange(world_, std::move(next));
   return out;
 }
 
 std::optional<Pipeline::ApplyResult> Pipeline::apply_delta(
     int day, std::span<const bgp::RouteDelta> deltas) {
-  const std::lock_guard<std::mutex> serial(cache_->load_serial);
-  if (!sanitized_.has_value() || !store_.has_value()) return std::nullopt;
+  const std::lock_guard<std::mutex> serial(locks_->load_serial);
+  // A Checkpoint shares the world, so patching it would rewrite the
+  // checkpointed world too. Checkpoints are only made under load_serial
+  // and queries never copy world_, so the count is exact here.
+  if (world_ == nullptr || world_.use_count() != 1) return std::nullopt;
+  World& world = *world_;
   // Planning only reads the world, and load_serial already excludes
   // every writer, so it runs outside the reload lock; queries wait only
   // for the patch below.
   std::optional<sanitize::IncrementalSanitizer::DeltaPlan> plan =
-      sanitizer_.plan_delta(day, deltas, *sanitized_);
+      sanitizer_.plan_delta(day, deltas, world.sanitized);
   if (!plan) return std::nullopt;
 
-  const std::lock_guard<std::mutex> gate(cache_->reload_gate);
-  const std::unique_lock<std::shared_mutex> reload(cache_->reload);
+  const std::lock_guard<std::mutex> gate(locks_->reload_gate);
+  const std::unique_lock<std::shared_mutex> reload(locks_->reload);
   for (std::uint32_t row : plan->erase) {
-    count_geo_evidence_row(sanitized_->paths[row], /*added=*/false);
+    count_geo_evidence_row(world, world.sanitized.paths[row], /*added=*/false);
   }
   const sanitize::IncrementalSanitizer::RowEdit edit =
-      sanitizer_.commit_delta(std::move(*plan), *sanitized_);
+      sanitizer_.commit_delta(std::move(*plan), world.sanitized);
   for (std::uint32_t row : edit.inserted) {
-    count_geo_evidence_row(sanitized_->paths[row], /*added=*/true);
+    count_geo_evidence_row(world, world.sanitized.paths[row], /*added=*/true);
   }
-  const ShardedPathStore::RebuildStats patched = store_->patch(
-      std::span<const sanitize::SanitizedPath>{sanitized_->paths}, edit.erased,
-      edit.inserted);
+  world.store.patch(std::span<const sanitize::SanitizedPath>{world.sanitized.paths},
+                    edit.erased, edit.inserted);
 
-  ApplyResult out;
+  const Digests country_then = std::move(world.country_digests);
+  const Digests outbound_then = std::move(world.outbound_digests);
+  const World::MemoMaps outgoing = std::move(world.memo);
+  world.memo = {};
+  digest_countries(world);
+  ApplyResult out = settle(country_then, outbound_then, outgoing, world, /*carry=*/true);
   out.sanitize_fast_path = true;
-  out.shards_kept = patched.shards_kept;
-  out.shards_rebuilt = patched.shards_rebuilt;
-  const EvictStats evicted = evict_changed_countries();
-  out.memos_evicted = evicted.evicted;
-  out.memos_kept = evicted.kept;
-  out.country_memos_evicted = evicted.country_evicted;
-  out.country_memos_kept = evicted.country_kept;
   return out;
 }
 
 Pipeline::Checkpoint Pipeline::checkpoint() const {
-  // load_serial excludes a concurrent load/apply/restore wholesale (they
-  // hold it for their full duration, including the sanitizer-memo writes
-  // that happen outside the reload lock); the shared reload hold then
-  // orders this against nothing, but keeps the lock discipline uniform
-  // with every other world read.
-  const std::lock_guard<std::mutex> serial(cache_->load_serial);
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
+  // load_serial excludes every writer (they swap world_ only while
+  // holding it), and keeps apply_delta's use_count() check exact.
+  const std::lock_guard<std::mutex> serial(locks_->load_serial);
   require_loaded("Pipeline::checkpoint()");
   Checkpoint chk;
-  chk.sanitized_ = sanitized_;
-  chk.store_ = store_->clone();
-  chk.parse_stats_ = parse_stats_;
-  chk.geo_evidence_ = geo_evidence_;
-  chk.country_digests_ = country_digests_;
-  chk.outbound_digests_ = outbound_digests_;
-  {
-    const std::lock_guard<std::mutex> lock(cache_->mutex);
-    chk.cache_country_ = cache_->country;
-    chk.cache_outbound_ = cache_->outbound;
-    chk.cache_health_ = cache_->health;
-  }
+  chk.world_ = world_;
   return chk;
 }
 
 Pipeline::ApplyResult Pipeline::restore(const Checkpoint& checkpoint) {
-  if (!checkpoint.sanitized_.has_value()) {
+  if (checkpoint.world_ == nullptr) {
     throw std::logic_error{"Pipeline::restore(): empty checkpoint"};
   }
-  const std::lock_guard<std::mutex> serial(cache_->load_serial);
+  const std::lock_guard<std::mutex> serial(locks_->load_serial);
   // The sanitizer memo describes the outgoing world. It is only ever
   // read under load_serial, so it can be dropped outside the reload
   // lock; apply_delta() declines until the next full run re-arms it.
   sanitizer_.invalidate();
-  const std::lock_guard<std::mutex> gate(cache_->reload_gate);
-  const std::unique_lock<std::shared_mutex> reload(cache_->reload);
-  parse_stats_ = checkpoint.parse_stats_;
-  sanitized_ = checkpoint.sanitized_;
-  store_ = checkpoint.store_.clone();
-
-  ApplyResult out;
-  // Diff the checkpoint against the outgoing world for the counters:
-  // a shard whose digest already matched was untouched by the swap.
-  const auto unchanged =
-      [](const std::unordered_map<std::uint16_t, std::uint64_t>& outgoing,
-         const std::unordered_map<std::uint16_t, std::uint64_t>& restored,
-         std::uint16_t key) {
-        const auto now = restored.find(key);
-        const auto then = outgoing.find(key);
-        return now != restored.end() && then != outgoing.end() &&
-               now->second == then->second;
-      };
-  for (const PathShard& shard : store_->shards()) {
-    if (unchanged(outbound_digests_, checkpoint.outbound_digests_,
-                  shard.country().raw())) {
-      ++out.shards_kept;
-    } else {
-      ++out.shards_rebuilt;
-    }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(cache_->mutex);
-    const auto evicted_from = [&](const auto& map, const auto& digests) {
-      std::size_t evicted = 0;
-      for (const auto& entry : map) {
-        if (!unchanged(digests, checkpoint.country_digests_, entry.first)) {
-          ++evicted;
-        }
-      }
-      return evicted;
-    };
-    out.country_memos_evicted =
-        evicted_from(cache_->country, country_digests_);
-    out.memos_evicted = out.country_memos_evicted +
-                        evicted_from(cache_->health, country_digests_);
-    for (const auto& entry : cache_->outbound) {
-      if (!unchanged(outbound_digests_, checkpoint.outbound_digests_,
-                     entry.first)) {
-        ++out.memos_evicted;
-      }
-    }
-    cache_->country = checkpoint.cache_country_;
-    cache_->outbound = checkpoint.cache_outbound_;
-    cache_->health = checkpoint.cache_health_;
-    out.country_memos_kept = cache_->country.size();
-    out.memos_kept = cache_->country.size() + cache_->outbound.size() +
-                     cache_->health.size();
-  }
-  geo_evidence_ = checkpoint.geo_evidence_;
-  // Rebuilt by the next load() or apply_updates(); apply_delta()
-  // declines until then.
-  prefix_rows_.clear();
-  country_digests_ = checkpoint.country_digests_;
-  outbound_digests_ = checkpoint.outbound_digests_;
+  std::shared_ptr<World> outgoing;  // freed after the locks below
+  const std::lock_guard<std::mutex> gate(locks_->reload_gate);
+  const std::unique_lock<std::shared_mutex> reload(locks_->reload);
+  const ApplyResult out =
+      settle_from(world_.get(), *checkpoint.world_, /*carry=*/false);
+  outgoing = std::exchange(world_, checkpoint.world_);
   return out;
-}
-
-void Pipeline::rebuild_geo_evidence() {
-  // Geolocation evidence for the confidence annotation: accepted weight
-  // once per distinct sanitized prefix, plus the no-consensus weight each
-  // plurality country lost.
-  geo_evidence_.clear();
-  prefix_rows_.clear();
-  for (const sanitize::SanitizedPath& row : sanitized_->paths) {
-    count_geo_evidence_row(row, /*added=*/true);
-  }
-  for (const auto& [country, tally] :
-       sanitized_->prefix_geo.no_consensus_by_plurality()) {
-    GeoEvidence& evidence = geo_evidence_[country];
-    evidence.rejected += tally.addresses;
-    evidence.rejected_prefixes += tally.prefixes;
-  }
-}
-
-void Pipeline::count_geo_evidence_row(const sanitize::SanitizedPath& row,
-                                      bool added) {
-  if (added) {
-    if (++prefix_rows_[row.prefix] == 1) {
-      geo_evidence_[row.prefix_country].accepted += row.weight;
-    }
-    return;
-  }
-  const auto it = prefix_rows_.find(row.prefix);
-  if (--it->second == 0) {
-    prefix_rows_.erase(it);
-    geo_evidence_[row.prefix_country].accepted -= row.weight;
-  }
-}
-
-Pipeline::EvictStats Pipeline::evict_changed_countries() {
-  // Per-country digests of the NEW world. The country-query digest folds
-  // geo evidence in because CountryMetrics.confidence/geo_consensus are
-  // computed from it; outbound metrics only see the shard.
-  std::unordered_map<std::uint16_t, std::uint64_t> outbound_digests;
-  std::unordered_map<std::uint16_t, std::uint64_t> country_digests;
-  outbound_digests.reserve(store_->shards().size());
-  country_digests.reserve(store_->shards().size());
-  for (const PathShard& shard : store_->shards()) {
-    const std::uint16_t key = shard.country().raw();
-    outbound_digests.emplace(key, shard.digest());
-    std::uint64_t d = shard.digest();
-    const auto it = geo_evidence_.find(shard.country());
-    const GeoEvidence evidence =
-        it == geo_evidence_.end() ? GeoEvidence{} : it->second;
-    d ^= evidence.accepted + 0x9e3779b97f4a7c15ull + (d << 6) + (d >> 2);
-    d ^= evidence.rejected + 0x9e3779b97f4a7c15ull + (d << 6) + (d >> 2);
-    d ^= evidence.rejected_prefixes + 0x9e3779b97f4a7c15ull + (d << 6) +
-         (d >> 2);
-    country_digests.emplace(key, d);
-  }
-
-  // Evict exactly the entries whose digest changed or whose country no
-  // longer has a shard (which also covers cached results for countries
-  // that never had one — those were computed against no evidence and are
-  // cheap to redo). Everything else stays warm across the reload.
-  const auto changed = [](const std::unordered_map<std::uint16_t, std::uint64_t>&
-                              previous,
-                          const std::unordered_map<std::uint16_t, std::uint64_t>&
-                              current,
-                          std::uint16_t key) {
-    const auto now = current.find(key);
-    const auto then = previous.find(key);
-    return now == current.end() || then == previous.end() ||
-           now->second != then->second;
-  };
-  EvictStats stats;
-  {
-    const std::lock_guard<std::mutex> lock(cache_->mutex);
-    const std::size_t before = cache_->country.size() +
-                               cache_->outbound.size() + cache_->health.size();
-    const std::size_t country_before = cache_->country.size();
-    std::erase_if(cache_->country, [&](const auto& entry) {
-      return changed(country_digests_, country_digests, entry.first);
-    });
-    stats.country_kept = cache_->country.size();
-    stats.country_evicted = country_before - stats.country_kept;
-    std::erase_if(cache_->outbound, [&](const auto& entry) {
-      return changed(outbound_digests_, outbound_digests, entry.first);
-    });
-    // Health reads the shard rows plus the geo evidence, both of which
-    // the country digest folds in.
-    std::erase_if(cache_->health, [&](const auto& entry) {
-      return changed(country_digests_, country_digests, entry.first);
-    });
-    stats.kept = cache_->country.size() + cache_->outbound.size() +
-                 cache_->health.size();
-    stats.evicted = before - stats.kept;
-  }
-  country_digests_ = std::move(country_digests);
-  outbound_digests_ = std::move(outbound_digests);
-  return stats;
 }
 
 void Pipeline::load_text(std::string_view mrt_text) {
@@ -308,119 +336,97 @@ void Pipeline::load_stream(std::istream& is) {
 }
 
 bool Pipeline::loaded() const {
-  // Unsynchronized, this is a racy read of an optional being emplaced by
-  // load() — ThreadSanitizer flagged it against the reload stress test.
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  return sanitized_.has_value();
+  // Unsynchronized, this is a racy read of the pointer a load() swaps —
+  // ThreadSanitizer flagged it against the reload stress test.
+  locks_->wait_for_writers();
+  const std::shared_lock<std::shared_mutex> reload(locks_->reload);
+  return world_ != nullptr;
 }
 
 void Pipeline::require_loaded(const char* where) const {
-  if (!sanitized_) {
+  if (world_ == nullptr) {
     throw std::logic_error{std::string{where} + ": no RIBs loaded"};
   }
 }
 
+std::shared_lock<std::shared_mutex> Pipeline::read_lock(const char* where) const {
+  locks_->wait_for_writers();
+  std::shared_lock<std::shared_mutex> reload(locks_->reload);
+  require_loaded(where);
+  return reload;
+}
+
 const sanitize::SanitizeResult& Pipeline::sanitized() const {
   require_loaded("Pipeline::sanitized()");
-  return *sanitized_;
+  return world_->sanitized;
 }
 
 const ShardedPathStore& Pipeline::store() const {
   require_loaded("Pipeline::store()");
-  return *store_;
+  return world_->store;
+}
+
+const bgp::MrtParseStats& Pipeline::parse_stats() const noexcept {
+  return world_ == nullptr ? kNoParseStats : world_->parse_stats;
 }
 
 void Pipeline::clear_caches() const {
-  const std::lock_guard<std::mutex> lock(cache_->mutex);
-  cache_->country.clear();
-  cache_->outbound.clear();
-  cache_->health.clear();
+  locks_->wait_for_writers();
+  const std::shared_lock<std::shared_mutex> reload(locks_->reload);
+  if (world_ == nullptr) return;
+  const std::lock_guard<std::mutex> lock(world_->memo_mutex);
+  world_->memo = {};
 }
 
 Pipeline::CacheStats Pipeline::cache_stats() const {
-  const std::lock_guard<std::mutex> lock(cache_->mutex);
-  return CacheStats{cache_->country.size(), cache_->outbound.size(),
-                    cache_->health.size()};
+  locks_->wait_for_writers();
+  const std::shared_lock<std::shared_mutex> reload(locks_->reload);
+  if (world_ == nullptr) return {};
+  const std::lock_guard<std::mutex> lock(world_->memo_mutex);
+  const World::MemoMaps& memo = world_->memo;
+  return CacheStats{memo.country.size(), memo.outbound.size(), memo.health.size()};
 }
 
 Pipeline::GeoEvidence Pipeline::geo_evidence(geo::CountryCode country) const {
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  require_loaded("Pipeline::geo_evidence()");
-  auto it = geo_evidence_.find(country);
-  return it == geo_evidence_.end() ? GeoEvidence{} : it->second;
-}
-
-CountryMetrics Pipeline::country_uncached(geo::CountryCode country) const {
-  CountryMetrics metrics = rankings_.compute(*store_, country);
-  auto it = geo_evidence_.find(country);
-  GeoEvidence evidence = it == geo_evidence_.end() ? GeoEvidence{} : it->second;
-  metrics.geo_consensus = DegradationPolicy::geo_consensus_share(
-      evidence.accepted, evidence.rejected);
-  metrics.confidence = config_.degradation.country_tier(
-      metrics.national_vps, metrics.international_vps, evidence.accepted,
-      evidence.rejected);
-  return metrics;
+  const auto reading = read_lock("Pipeline::geo_evidence()");
+  return evidence_of(*world_, country);
 }
 
 CountryMetrics Pipeline::country(geo::CountryCode country) const {
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  require_loaded("Pipeline::country()");
-  {
-    const std::lock_guard<std::mutex> lock(cache_->mutex);
-    auto it = cache_->country.find(country.raw());
-    if (it != cache_->country.end()) return it->second;
-  }
-  CountryMetrics metrics = country_uncached(country);
-  const std::lock_guard<std::mutex> lock(cache_->mutex);
-  return cache_->country.try_emplace(country.raw(), std::move(metrics))
-      .first->second;
+  const auto reading = read_lock("Pipeline::country()");
+  return memoized(*world_, &World::MemoMaps::country, country, [&] {
+    CountryMetrics metrics = rankings_.compute(world_->store, country);
+    const GeoEvidence evidence = evidence_of(*world_, country);
+    metrics.geo_consensus = DegradationPolicy::geo_consensus_share(
+        evidence.accepted, evidence.rejected);
+    metrics.confidence = config_.degradation.country_tier(
+        metrics.national_vps, metrics.international_vps, evidence.accepted,
+        evidence.rejected);
+    return metrics;
+  });
 }
 
 OutboundMetrics Pipeline::outbound(geo::CountryCode country) const {
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  require_loaded("Pipeline::outbound()");
-  {
-    const std::lock_guard<std::mutex> lock(cache_->mutex);
-    auto it = cache_->outbound.find(country.raw());
-    if (it != cache_->outbound.end()) return it->second;
-  }
-  OutboundMetrics metrics = rankings_.compute_outbound(*store_, country);
-  const std::lock_guard<std::mutex> lock(cache_->mutex);
-  return cache_->outbound.try_emplace(country.raw(), std::move(metrics))
-      .first->second;
-}
-
-CountryHealth Pipeline::country_health_uncached(
-    geo::CountryCode country) const {
-  GeoEvidence evidence;
-  if (const auto it = geo_evidence_.find(country); it != geo_evidence_.end()) {
-    evidence = it->second;
-  }
-  return shard_health(country, store_->shard(country),
-                      static_cast<std::size_t>(evidence.rejected_prefixes),
-                      evidence.rejected, config_.degradation);
+  const auto reading = read_lock("Pipeline::outbound()");
+  return memoized(*world_, &World::MemoMaps::outbound, country, [&] {
+    return rankings_.compute_outbound(world_->store, country);
+  });
 }
 
 CountryHealth Pipeline::country_health(geo::CountryCode country) const {
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  require_loaded("Pipeline::country_health()");
-  {
-    const std::lock_guard<std::mutex> lock(cache_->mutex);
-    auto it = cache_->health.find(country.raw());
-    if (it != cache_->health.end()) return it->second;
-  }
-  CountryHealth health = country_health_uncached(country);
-  const std::lock_guard<std::mutex> lock(cache_->mutex);
-  return cache_->health.try_emplace(country.raw(), health).first->second;
+  const auto reading = read_lock("Pipeline::country_health()");
+  return memoized(*world_, &World::MemoMaps::health, country, [&] {
+    // core::shard_health over the country's shard and attributed
+    // rejections (the worker robust::compute_health shares).
+    const GeoEvidence evidence = evidence_of(*world_, country);
+    return shard_health(country, world_->store.shard(country),
+                        static_cast<std::size_t>(evidence.rejected_prefixes),
+                        evidence.rejected, config_.degradation);
+  });
 }
 
-template <class Value, class Memo, class Compute>
-std::vector<Value> Pipeline::census_of(const Memo& memo, const char* where,
+template <class Value, class Map, class Compute>
+std::vector<Value> Pipeline::census_of(Map map, const char* where,
                                        const Compute& compute) const {
   // Copy the census domain and resolve memo hits under the reload lock,
   // then release it before fanning out the misses: workers each take
@@ -433,19 +439,19 @@ std::vector<Value> Pipeline::census_of(const Memo& memo, const char* where,
   std::vector<Value> out;
   std::vector<std::size_t> misses;
   {
-    cache_->wait_for_writers();
-    const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-    require_loaded(where);
-    countries = store_->countries();
-    costs = store_->census_costs();
+    const auto reading = read_lock(where);
+    World& world = *world_;
+    countries = world.store.countries();
+    costs = world.store.census_costs();
     out.resize(countries.size());
-    const std::lock_guard<std::mutex> lock(cache_->mutex);
+    const std::lock_guard<std::mutex> lock(world.memo_mutex);
+    const auto& memo = world.memo.*map;
     for (std::size_t i = 0; i < countries.size(); ++i) {
       const auto it = memo.find(countries[i].raw());
       if (it == memo.end()) {
         misses.push_back(i);
       } else {
-        out[i] = it->second;
+        out[i] = *it->second;
       }
     }
   }
@@ -467,56 +473,46 @@ std::vector<Value> Pipeline::census_of(const Memo& memo, const char* where,
 
 std::vector<CountryMetrics> Pipeline::all_countries() const {
   return census_of<CountryMetrics>(
-      cache_->country, "Pipeline::all_countries()",
+      &World::MemoMaps::country, "Pipeline::all_countries()",
       [this](geo::CountryCode cc) { return country(cc); });
 }
 
 std::vector<CountryHealth> Pipeline::all_country_health() const {
   return census_of<CountryHealth>(
-      cache_->health, "Pipeline::all_country_health()",
+      &World::MemoMaps::health, "Pipeline::all_country_health()",
       [this](geo::CountryCode cc) { return country_health(cc); });
 }
 
 rank::Ranking Pipeline::global_cone_by_as_count() const {
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  require_loaded("Pipeline::global_cone_by_as_count()");
+  const auto reading = read_lock("Pipeline::global_cone_by_as_count()");
   // Global queries run over the sanitized rows directly (original path
   // order, no cross-shard merge).
   rank::CustomerCone cone{*relationships_};
-  return cone.compute(sanitize::PathsView{sanitized_->paths}).by_as_count();
+  return cone.compute(sanitize::PathsView{world_->sanitized.paths}).by_as_count();
 }
 
 rank::Ranking Pipeline::global_cone_by_addresses() const {
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  require_loaded("Pipeline::global_cone_by_addresses()");
+  const auto reading = read_lock("Pipeline::global_cone_by_addresses()");
   rank::CustomerCone cone{*relationships_};
-  return cone.compute(sanitize::PathsView{sanitized_->paths}).by_addresses();
+  return cone.compute(sanitize::PathsView{world_->sanitized.paths}).by_addresses();
 }
 
 rank::Ranking Pipeline::global_hegemony() const {
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  require_loaded("Pipeline::global_hegemony()");
+  const auto reading = read_lock("Pipeline::global_hegemony()");
   rank::Hegemony hegemony{config_.hegemony};
-  return hegemony.compute(sanitize::PathsView{sanitized_->paths}).ranking();
+  return hegemony.compute(sanitize::PathsView{world_->sanitized.paths}).ranking();
 }
 
 rank::Ranking Pipeline::ahc(const rank::AsRegistry& registry,
                             geo::CountryCode country) const {
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  require_loaded("Pipeline::ahc()");
+  const auto reading = read_lock("Pipeline::ahc()");
   rank::AhcRanking ahc{registry, config_.hegemony};
-  return ahc.compute(sanitize::PathsView{sanitized_->paths}, country);
+  return ahc.compute(sanitize::PathsView{world_->sanitized.paths}, country);
 }
 
 rank::Ranking Pipeline::cti(geo::CountryCode country) const {
-  cache_->wait_for_writers();
-  const std::shared_lock<std::shared_mutex> reload(cache_->reload);
-  require_loaded("Pipeline::cti()");
-  CountryView view = store_->international_view(country);
+  const auto reading = read_lock("Pipeline::cti()");
+  CountryView view = world_->store.international_view(country);
   rank::CtiRanking cti{*relationships_};
   return cti.compute(view.paths());
 }

@@ -14,6 +14,11 @@
 // warm. all_countries() fans out over shards largest-first
 // (util::parallel_for_costed) so one giant country cannot serialize the
 // tail. All queries are safe to call concurrently from multiple threads.
+//
+// Everything one load produces — sanitized rows, store, parse stats,
+// geo evidence, digests and the memo — is one World value held by
+// shared_ptr: a load or apply_updates builds the next World whole and
+// swaps the pointer in, and a Checkpoint is a second pointer to it.
 #pragma once
 
 #include <memory>
@@ -22,7 +27,6 @@
 #include <shared_mutex>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/mrt_stream.hpp"
@@ -35,9 +39,11 @@
 #include "rank/cti.hpp"
 #include "sanitize/incremental_sanitizer.hpp"
 #include "sanitize/path_sanitizer.hpp"
-#include "util/thread_safety.hpp"
 
 namespace georank::core {
+
+/// One loaded world (pipeline.cpp): the Pipeline's per-load state.
+struct World;
 
 struct PipelineConfig {
   sanitize::SanitizerOptions sanitizer;
@@ -57,13 +63,13 @@ class Pipeline {
            const sanitize::AsnRegistry& registry,
            const topo::AsGraph& relationships, PipelineConfig config = {});
 
-  /// Ingest RIBs; either form runs the sanitizer immediately, builds the
-  /// ShardedPathStore and evicts memoized results for every country
-  /// whose shard content (or geo evidence) changed — unchanged countries
-  /// stay cached.
+  /// Ingest RIBs; either form runs the sanitizer immediately and builds
+  /// the next world around a fresh ShardedPathStore; memoized results
+  /// of countries whose shard content and geo evidence are unchanged
+  /// stay cached, the rest are dropped.
   ///
-  /// Reload safety: load() takes the pipeline's reload lock exclusively,
-  /// and every VALUE-returning query (country(), outbound(),
+  /// Reload safety: load() takes the pipeline's reload lock exclusively
+  /// for the swap, and every VALUE-returning query (country(), outbound(),
   /// all_countries(), the global rankings) holds it shared for its whole
   /// body — so a query racing a reload returns a result computed
   /// entirely against one world, never a mix. Accessors that return
@@ -80,10 +86,12 @@ class Pipeline {
   void load_stream(std::istream& is);
 
   /// What an incremental reload did — the observability record behind
-  /// the live pipeline's flush reports.
+  /// the live pipeline's flush reports. Every writer counts by one
+  /// rule: a shard or memo is kept when its country's digest equals the
+  /// outgoing world's.
   struct ApplyResult {
-    std::size_t shards_kept = 0;     // digest unchanged, columns reused
-    std::size_t shards_rebuilt = 0;  // re-gathered from scratch
+    std::size_t shards_kept = 0;     // digest unchanged from the outgoing world
+    std::size_t shards_rebuilt = 0;  // digest changed, or the country is new
     std::size_t memos_evicted = 0;   // per-country results dropped
     std::size_t memos_kept = 0;      // per-country results still warm
     /// memos_* restricted to the country-rankings memo (the census
@@ -101,14 +109,15 @@ class Pipeline {
   /// Reloads a changed collection and reports what the reload kept. The
   /// sanitizer's filters are globally coupled — covered-prefix pruning,
   /// stability counts, geo consensus — so the collection is re-sanitized
-  /// in full; load() shares this body. The store is REBUILT in place:
-  /// shards whose content digest is unchanged keep their columns, and
-  /// only countries whose digest actually changed lose their memoized
-  /// rankings and health entries. Queries afterwards are bit-identical
-  /// to a from-scratch load() of the same collection. parse_stats() is
-  /// left untouched (updates arrive pre-parsed). Takes the reload lock
-  /// exclusively for the swap, like load(). When the caller knows the
-  /// burst itself, apply_delta() is O(burst).
+  /// in full; load() shares this body. The next world (rows, a fresh
+  /// store, geo evidence, digests) is built outside the reload lock, and
+  /// only the pointer swap takes it exclusively; memo entries whose
+  /// country digest is unchanged are carried into the new world as
+  /// shared pointers, so only countries that actually changed lose
+  /// their memoized rankings and health entries. Queries afterwards are
+  /// bit-identical to a from-scratch load() of the same collection.
+  /// parse_stats() is carried over (updates arrive pre-parsed). When
+  /// the caller knows the burst itself, apply_delta() is O(burst).
   ApplyResult apply_updates(const bgp::RibCollection& ribs);
 
   /// The O(burst) counterpart of apply_updates() for a burst that
@@ -125,10 +134,12 @@ class Pipeline {
   /// when a proof fails: nothing loaded, an inferred clique, audit
   /// samples on, a final day not keyed by route, a prefix whose
   /// final-day presence crosses the stability threshold, an old path
-  /// the loaded world does not hold, or a restore() since the last
-  /// load() or apply_updates(); the caller then falls back to
-  /// apply_updates(). Plans outside the reload lock and takes it
-  /// exclusively only for the in-place patch.
+  /// the loaded world does not hold, a restore() since the last load()
+  /// or apply_updates(), or a live Checkpoint sharing the current world
+  /// (the patch would rewrite the checkpointed world too); the caller
+  /// then falls back to apply_updates(), which builds a fresh world.
+  /// Plans outside the reload lock and takes it exclusively only for
+  /// the in-place patch.
   std::optional<ApplyResult> apply_delta(int day,
                                          std::span<const bgp::RouteDelta> deltas);
 
@@ -144,54 +155,44 @@ class Pipeline {
   };
   [[nodiscard]] GeoEvidence geo_evidence(geo::CountryCode country) const;
 
-  /// A captured world: the sanitized path set, a deep copy of the
-  /// sharded store, the geo evidence, the per-country digests and the
-  /// memo cache contents, all as they stood when checkpoint() ran.
-  /// restore() swaps it back WITHOUT re-running the sanitizer,
-  /// re-gathering the store or recomputing a single ranking — every
-  /// piece is copied back — so a caller that flips between two worlds
-  /// (the what-if engine re-arming its baseline after each
-  /// counterfactual, DESIGN.md §4i) pays O(world) memcpy instead of a
-  /// reload. Opaque and move-only (it owns a store clone);
-  /// only hand it back to the pipeline that made it — the interning
-  /// arena and digests are private to that instance's history.
+  /// A captured world: a shared pointer to the world that was current
+  /// when checkpoint() ran — its sanitized paths, store, geo evidence,
+  /// digests and memo. Nothing is copied. restore() swaps it back
+  /// without re-running the sanitizer, re-gathering the store or
+  /// recomputing a single ranking, so a caller that flips between two
+  /// worlds (the what-if engine re-arming its baseline after each
+  /// counterfactual, DESIGN.md §4i) pays a pointer swap instead of a
+  /// reload. While a Checkpoint shares the current world, apply_delta()
+  /// declines rather than patch it. Default-constructed = empty; only
+  /// hand it back to the pipeline that made it.
   class Checkpoint {
    private:
     friend class Pipeline;
-    std::optional<sanitize::SanitizeResult> sanitized_;  // empty: no world
-    ShardedPathStore store_;
-    bgp::MrtParseStats parse_stats_;
-    std::unordered_map<geo::CountryCode, GeoEvidence, geo::CountryCodeHash>
-        geo_evidence_;
-    std::unordered_map<std::uint16_t, std::uint64_t> country_digests_;
-    std::unordered_map<std::uint16_t, std::uint64_t> outbound_digests_;
-    std::unordered_map<std::uint16_t, CountryMetrics> cache_country_;
-    std::unordered_map<std::uint16_t, OutboundMetrics> cache_outbound_;
-    std::unordered_map<std::uint16_t, CountryHealth> cache_health_;
+    std::shared_ptr<World> world_;  // null: empty checkpoint
   };
 
-  /// Captures the currently loaded world, including which per-country
-  /// results are memoized right now. Serialized against
-  /// load()/apply_updates()/restore() like any reload. Throws
-  /// std::logic_error("Pipeline::checkpoint(): no RIBs loaded") before
-  /// load().
+  /// Captures the currently loaded world, including the memo entries it
+  /// holds (queries against it afterwards keep warming the same memo).
+  /// Serialized against load()/apply_updates()/restore() like any
+  /// reload. Throws std::logic_error("Pipeline::checkpoint(): no RIBs
+  /// loaded") before load().
   [[nodiscard]] Checkpoint checkpoint() const;
 
-  /// Swaps a checkpointed world back in by copy. Queries afterwards are
-  /// bit-identical to a load() of the checkpointed collection, and the
-  /// memo cache holds exactly the entries it held at capture time (every
-  /// memo that was warm then is warm again — no recompute needed). The
-  /// sanitizer's memo is not captured (what-ifs never take the delta
-  /// path it serves): restore() invalidates it, so apply_delta()
-  /// declines until a load() or apply_updates() re-arms it.
+  /// Swaps the checkpointed world back in under the exclusive reload
+  /// lock. Queries afterwards are bit-identical to a load() of the
+  /// checkpointed collection, and every memo that world holds is warm
+  /// (no recompute needed). The sanitizer's memo is not captured
+  /// (what-ifs never take the delta path it serves): restore()
+  /// invalidates it, so apply_delta() declines until a load() or
+  /// apply_updates() re-arms it.
   /// The returned counters diff the checkpoint against the OUTGOING
-  /// world: shards_kept counts shards whose content was already
-  /// identical (the swap was a no-op for them), shards_rebuilt the ones
-  /// the copy replaced; memos_evicted counts outgoing cache entries
-  /// whose country changed between the two worlds (their counterfactual
-  /// values were dropped), memos_kept the checkpointed entries now warm.
-  /// sanitize_fast_path/days_resanitized are always false/0 (nothing
-  /// was sanitized). Throws std::logic_error on an empty checkpoint.
+  /// world by digest: shards_kept counts shards whose content was
+  /// already identical, shards_rebuilt the rest; memos_evicted counts
+  /// outgoing cache entries whose country changed between the two
+  /// worlds (their counterfactual values were dropped), memos_kept the
+  /// restored world's entries, now warm. sanitize_fast_path and
+  /// days_resanitized are always false/0 (nothing was sanitized).
+  /// Throws std::logic_error on an empty checkpoint.
   ApplyResult restore(const Checkpoint& checkpoint);
 
   /// Whether a world is loaded. Takes the reload lock shared so a racing
@@ -202,9 +203,7 @@ class Pipeline {
   [[nodiscard]] const ShardedPathStore& store() const;
   /// Diagnostics from the most recent load_text()/load_stream();
   /// reset to empty by a plain load() (which has no parse phase).
-  [[nodiscard]] const bgp::MrtParseStats& parse_stats() const noexcept {
-    return parse_stats_;
-  }
+  [[nodiscard]] const bgp::MrtParseStats& parse_stats() const noexcept;
 
   /// The four country metrics (CCI/CCN/AHI/AHN). Memoized: repeat queries
   /// for the same country return the cached result.
@@ -278,48 +277,24 @@ class Pipeline {
 
  private:
   /// The body of every load() form and apply_updates(): sanitizes
-  /// `ribs` in full outside the reload lock, then swaps the new world —
-  /// paths, store, geo evidence and, when given, parse stats — in under
-  /// one exclusive hold, finishing with shard-granular memo eviction.
-  /// A load (`stats` given) builds a fresh store; apply_updates rebuilds
-  /// the current one in place.
+  /// `ribs` in full and builds the next world outside the reload lock,
+  /// with `stats` as its parse stats (nullopt: the current world's),
+  /// then publishes it.
   ApplyResult swap_in(const bgp::RibCollection& ribs,
                       std::optional<bgp::MrtParseStats> stats);
-  /// Recomputes geo_evidence_ and prefix_rows_ from sanitized_. Called
-  /// under the exclusive reload lock.
-  void rebuild_geo_evidence();
-  /// Moves one row's prefix in or out of the per-prefix tallies behind
-  /// geo_evidence_ (apply_delta's patch). Under the exclusive lock.
-  void count_geo_evidence_row(const sanitize::SanitizedPath& row, bool added);
-  /// Memo-routed census over store_->countries(): hits inline under the
-  /// memo mutex, misses through `compute` (a memoizing query), fanned
-  /// out largest shard first.
-  template <class Value, class Memo, class Compute>
-  [[nodiscard]] std::vector<Value> census_of(const Memo& memo,
-                                             const char* where,
+  /// Waits out queued writers, takes the reload lock shared and throws
+  /// std::logic_error("<where>: no RIBs loaded") when no world is
+  /// loaded: the prologue of every value-returning query.
+  [[nodiscard]] std::shared_lock<std::shared_mutex> read_lock(
+      const char* where) const;
+  /// Memo-routed census over the store's countries(): hits inline under
+  /// the memo mutex, misses through `compute` (a memoizing query),
+  /// fanned out largest shard first. `map` picks the memo map.
+  template <class Value, class Map, class Compute>
+  [[nodiscard]] std::vector<Value> census_of(Map map, const char* where,
                                              const Compute& compute) const;
-  /// Compares the new world's per-country digests against the previous
-  /// ones and erases only the memo entries whose digest changed (or
-  /// whose country vanished). Called under the exclusive reload lock.
-  /// Returns {evicted, kept} counts across both memo maps.
-  struct EvictStats {
-    std::size_t evicted = 0;
-    std::size_t kept = 0;
-    /// Same counts restricted to the country-rankings map — the memo
-    /// the census reuses, reported separately because outbound/health
-    /// warmth depends on which queries ran, not on the reload itself.
-    std::size_t country_evicted = 0;
-    std::size_t country_kept = 0;
-  };
-  EvictStats evict_changed_countries();
   /// Throws std::logic_error("<where>: no RIBs loaded") before load().
   void require_loaded(const char* where) const;
-  [[nodiscard]] CountryMetrics country_uncached(geo::CountryCode country) const;
-  /// core::shard_health over the country's shard and attributed
-  /// rejections (the worker robust::compute_health shares); called with
-  /// the reload lock held shared.
-  [[nodiscard]] CountryHealth country_health_uncached(
-      geo::CountryCode country) const;
 
   const geo::GeoDatabase* geo_db_;
   const geo::VpGeolocator* vps_;
@@ -328,33 +303,21 @@ class Pipeline {
   PipelineConfig config_;
   CountryRankings rankings_;
   // The sanitizer's cross-load memo (behind apply_delta). Touched only
-  // by writers, serialized among themselves by MemoCache::load_serial —
+  // by writers, serialized among themselves by Locks::load_serial —
   // queries never read it.
   sanitize::IncrementalSanitizer sanitizer_;
-  std::optional<sanitize::SanitizeResult> sanitized_;
-  std::optional<ShardedPathStore> store_;
-  bgp::MrtParseStats parse_stats_;
-  std::unordered_map<geo::CountryCode, GeoEvidence, geo::CountryCodeHash>
-      geo_evidence_;
-  // Accepted rows per distinct sanitized prefix in the current world: a
-  // prefix's accepted weight counts toward its country while it has at
-  // least one row. apply_delta adjusts these (and a prefix's country
-  // tally when its count leaves or reaches zero) instead of rescanning.
-  std::unordered_map<bgp::Prefix, std::uint32_t, bgp::PrefixHash> prefix_rows_;
-  // Per-country content digests of the CURRENT world, written only under
-  // the exclusive reload lock (like the rest of the world state above).
-  // `country_digests_` folds geo evidence in (CountryMetrics.confidence
-  // depends on it); `outbound_digests_` is the raw shard digest.
-  std::unordered_map<std::uint16_t, std::uint64_t> country_digests_;
-  std::unordered_map<std::uint16_t, std::uint64_t> outbound_digests_;
+  // The current world; null before the first load. The pointer is
+  // swapped, and apply_delta patches the world, only under the
+  // exclusive reload lock. Queries read it under the shared lock and
+  // never copy the pointer, so use_count() counts exactly the
+  // pipeline and the live Checkpoints.
+  std::shared_ptr<World> world_;
 
-  // Memoized per-country results, keyed by CountryCode::raw(). The mutex
-  // only guards map access; metric computation happens outside it, so
-  // concurrent all_countries() workers never serialize on each other.
-  // `reload` orders queries against load(): load() holds it exclusive,
-  // value-returning queries hold it shared (always acquired BEFORE
-  // `mutex`). Boxed so Pipeline stays movable despite the locks.
-  struct MemoCache {
+  // `reload` orders queries against writers: a writer holds it
+  // exclusive for the swap or patch, value-returning queries hold it
+  // shared (always acquired BEFORE a world's memo mutex). Boxed so
+  // Pipeline stays movable despite the locks.
+  struct Locks {
     std::shared_mutex reload;
     /// Makes `reload` writer-preferring. glibc's shared_mutex prefers
     /// readers, so queries that overlap back to back keep it shared
@@ -367,19 +330,13 @@ class Pipeline {
     void wait_for_writers() {
       const std::lock_guard<std::mutex> pass(reload_gate);
     }
-    /// Serializes whole load()/apply_updates() calls against each other
-    /// (they mutate the sanitizer memo OUTSIDE the reload lock, which
-    /// only the swap takes). Always acquired before `reload`.
+    /// Serializes whole writers (load, apply_updates, apply_delta,
+    /// checkpoint, restore) against each other: they use the sanitizer
+    /// memo and build the next world OUTSIDE the reload lock, which only
+    /// the swap takes. Always acquired before `reload`.
     std::mutex load_serial;
-    std::mutex mutex;
-    std::unordered_map<std::uint16_t, CountryMetrics> country
-        GEORANK_GUARDED_BY(mutex);
-    std::unordered_map<std::uint16_t, OutboundMetrics> outbound
-        GEORANK_GUARDED_BY(mutex);
-    std::unordered_map<std::uint16_t, CountryHealth> health
-        GEORANK_GUARDED_BY(mutex);
   };
-  std::unique_ptr<MemoCache> cache_ = std::make_unique<MemoCache>();
+  std::unique_ptr<Locks> locks_ = std::make_unique<Locks>();
 };
 
 }  // namespace georank::core

@@ -31,6 +31,8 @@
 // Lifetime: the store owns arena + shards; shards and every view
 // derived from them borrow it. Not copyable (shards point into the
 // shared arena); movable (vector buffers are stable across moves).
+// Every load builds a fresh store for its own world (core::Pipeline);
+// patch() is the one in-place edit, the live delta path's.
 #pragma once
 
 #include <cstdint>
@@ -61,50 +63,25 @@ class ShardedPathStore {
   ShardedPathStore& operator=(ShardedPathStore&&) noexcept = default;
   ~ShardedPathStore() = default;
 
-  /// Explicit deep copy: every column, selection list, the dictionary
-  /// and the cached row derivations are copied, and the copy's shards
-  /// are re-pointed at ITS arena (the reason the copy constructor is
-  /// deleted rather than defaulted — a memberwise copy would leave the
-  /// shards borrowing the original's hop storage). O(world) in straight
-  /// memcpy-sized chunks, so it is much cheaper than a rebuild(), which
-  /// re-interns and re-gathers row by row: Pipeline::checkpoint()/
-  /// restore() flip between two worlds with it.
-  [[nodiscard]] ShardedPathStore clone() const;
-
-  struct RebuildStats {
-    std::size_t shards_kept = 0;     // digest unchanged, columns reused
-    std::size_t shards_rebuilt = 0;  // gathered from scratch
-  };
-
-  /// Rebuilds the store in place from a new sanitized path set, KEEPING
-  /// any shard whose content digest (and row count) is unchanged — its
-  /// columns, selection lists and cost hint are moved over untouched.
-  /// The interned-hop dictionary is retained and append-only across
-  /// rebuilds, so kept shards' handles stay valid; unique_path_count()
-  /// and arena_hop_count() therefore also count paths no current row
-  /// uses. To keep that garbage bounded, a rebuild or patch() that
-  /// leaves more than twice as many arena hops as the live rows hold
-  /// compacts: it re-interns the live rows into a fresh dictionary and
-  /// re-gathers every shard. Queries on the rebuilt store are
-  /// bit-identical to a fresh build from `paths`.
-  RebuildStats rebuild(std::span<const sanitize::SanitizedPath> paths,
-                       std::size_t threads = 0);
-
-  /// Applies a sparse row edit: `paths` is the previous input with the
-  /// rows at `erased` (ascending indices into the PREVIOUS input)
-  /// removed and new rows at `inserted` (ascending indices into
+  /// Applies a sparse row edit in place: `paths` is the previous input
+  /// with the rows at `erased` (ascending indices into the PREVIOUS
+  /// input) removed and new rows at `inserted` (ascending indices into
   /// `paths`); every other row must be byte-identical to its previous
   /// self and keep its relative order — a proof the caller owes
   /// (core::Pipeline::apply_delta passes the sanitizer's committed
-  /// RowEdit). Re-interns only the inserted
-  /// rows, re-gathers only the shards that lose or gain a row (a row
-  /// lands in its prefix country's and VP country's shards), and moves
-  /// every other shard over without re-digesting it. Queries afterwards
-  /// are bit-identical to a fresh build from `paths`.
-  RebuildStats patch(std::span<const sanitize::SanitizedPath> paths,
-                     std::span<const std::uint32_t> erased,
-                     std::span<const std::uint32_t> inserted,
-                     std::size_t threads = 0);
+  /// RowEdit). Re-interns only the inserted rows, re-gathers only the
+  /// shards that lose or gain a row (a row lands in its prefix
+  /// country's and VP country's shards), and moves every other shard
+  /// over without re-digesting it. The dictionary is append-only across
+  /// patches, so moved shards' handles stay valid and
+  /// unique_path_count()/arena_hop_count() also count paths no current
+  /// row uses; a patch that leaves more than twice as many arena hops
+  /// as the live rows hold compacts instead (re-interns the live rows
+  /// into a fresh dictionary and re-gathers every shard). Queries
+  /// afterwards are bit-identical to a fresh build from `paths`.
+  void patch(std::span<const sanitize::SanitizedPath> paths,
+             std::span<const std::uint32_t> erased,
+             std::span<const std::uint32_t> inserted, std::size_t threads = 0);
 
   /// Total sanitized rows across the world (rows double-homed into two
   /// shards count once).
@@ -152,8 +129,8 @@ class ShardedPathStore {
 
  private:
   /// Shared interned-hop dictionary all shards' handles index into
-  /// (its arena). Append-only across rebuilds so previously issued
-  /// handles stay valid, and retained so rebuilds re-intern against it.
+  /// (its arena). Append-only across patches so previously issued
+  /// handles stay valid, and retained so patches intern against it.
   sanitize::PathInterner interned_;
   /// Interns one path: the handle of an equal hop sequence, else of a
   /// fresh one appended to the arena.
@@ -164,16 +141,13 @@ class ShardedPathStore {
   /// rows' hops (re-interning every row of `paths`); true if it did.
   bool compact_if_sparse(std::span<const sanitize::SanitizedPath> paths);
   /// Phase 2 of every build: re-forms the shard list from rows_of_.
-  /// Shards of countries outside `touched` (nullptr = none is exempt)
-  /// move over as they are; the rest keep their old shard when the
-  /// digest and row count match, else are gathered afresh. With
-  /// `reuse_old` false every shard is gathered (handles changed).
-  RebuildStats regather(
+  /// Shards of countries outside `touched` move over as they are; the
+  /// rest are gathered afresh (`touched` nullptr: every shard is).
+  void regather(
       std::span<const sanitize::SanitizedPath> paths, std::size_t threads,
-      const std::unordered_set<geo::CountryCode, geo::CountryCodeHash>* touched,
-      bool reuse_old);
+      const std::unordered_set<geo::CountryCode, geo::CountryCodeHash>* touched);
 
-  /// Per-row handles and per-country row lists of the LAST build,
+  /// Per-row handles and per-country row lists of the current rows,
   /// cached so a patch() can skip re-deriving them for unchanged rows.
   std::vector<sanitize::PathHandle> handles_;
   /// Hops the live rows reference (sum of handles_ lengths): the

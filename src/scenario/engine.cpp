@@ -35,12 +35,11 @@ Report WhatIfEngine::run(const Scenario& scenario, std::size_t top_k) {
   // Re-arm the baseline so the next query diffs against it, not against
   // this scenario's world (and so the serving pipeline is back on the
   // published snapshot's data between queries). restore() swaps the
-  // already-sanitized baseline world AND its memoized census back by
-  // copy — no sanitizer, no store rebuild, no ranking recompute — so
-  // every query starts from the same fully-warmed cache (the one
-  // captured at construction, right after the baseline census) and its
-  // MemoStats are deterministic. It drops the sanitizer's memo, which
-  // the next query's full run re-captures.
+  // baseline world the checkpoint shares back in — no sanitizer, no
+  // store build, no ranking recompute — so every query starts from the
+  // same fully-warmed census memo (filled right after construction) and
+  // its MemoStats are deterministic. It drops the sanitizer's memo,
+  // which the next query's full run re-captures.
   (void)pipeline_.restore(baseline_checkpoint_);
 
   return build_report(scenario, edited.stats, memo, baseline_census_,

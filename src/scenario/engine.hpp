@@ -10,13 +10,16 @@
 // Pipeline::apply_updates is the memo-reuse lever: because apply()
 // keeps every entry untouched by the scenario byte-identical, the
 // shard content digests of unaffected countries match the baseline and
-// their memoized rankings survive — the report's MemoStats records
-// exactly how many. After the census the engine re-arms the baseline
-// through a Pipeline::Checkpoint captured at construction: restore()
-// copies the already-sanitized baseline world back without re-running
-// the sanitizer, so the NEXT query's counterfactual shards diff against
-// the baseline (not a previous scenario). Each query's apply_updates
-// re-sanitizes its edited collection in full.
+// their memoized rankings are carried into the counterfactual world as
+// shared pointers — the report's MemoStats records exactly how many.
+// After the census the engine re-arms the baseline through a
+// Pipeline::Checkpoint captured at construction: the checkpoint shares
+// the baseline world itself, and restore() swaps that pointer back (no
+// sanitizer, no store build, no copy), so the NEXT query's
+// counterfactual shards diff against the baseline (not a previous
+// scenario). Each query's apply_updates re-sanitizes its edited
+// collection in full and builds a fresh world; the baseline world is
+// never written, except that queries against it warm its memo.
 //
 // Queries are serialized on an internal mutex: the pipeline is a
 // mutable world the engine swaps back and forth, so concurrent what-ifs
@@ -59,8 +62,8 @@ class WhatIfEngine {
   const rank::AsRegistry& registry_;
   const bgp::RibCollection& baseline_;
   std::vector<core::CountryMetrics> baseline_census_;
-  /// The sanitized baseline world, captured once so every re-arm skips
-  /// the sanitizer (Pipeline::restore).
+  /// The baseline world, shared once so every re-arm is a pointer swap
+  /// (Pipeline::restore).
   core::Pipeline::Checkpoint baseline_checkpoint_;
 
   /// Serializes whole queries (the pipeline world swap is stateful).

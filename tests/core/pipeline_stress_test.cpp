@@ -1,6 +1,7 @@
 // Race-provoking stress for the Pipeline's reload path, written for the
 // build-tsan CI tier. The locking contract under test (pipeline.hpp):
-// load() holds the reload lock exclusively while swapping the world in;
+// load(), apply_updates() and restore() hold the reload lock
+// exclusively while swapping the world pointer;
 // every value-returning query holds it shared for its whole body; the
 // memo cache behind `mutex` may be hit from any number of query threads.
 //
@@ -50,22 +51,27 @@ TEST(PipelineStress, QueriesRaceReloadWithoutTearing) {
   StressFixture f;
   Pipeline pipeline{f.world.geo_db, f.world.vps, f.world.asn_registry,
                     f.world.graph, f.config()};
-  pipeline.load(f.ribs_a);
-  const std::vector<CountryMetrics> world_a = pipeline.all_countries();
   pipeline.load(f.ribs_b);
   const std::vector<CountryMetrics> world_b = pipeline.all_countries();
+  pipeline.load(f.ribs_a);
+  const std::vector<CountryMetrics> world_a = pipeline.all_countries();
+  const Pipeline::Checkpoint checkpoint_a = pipeline.checkpoint();
   ASSERT_FALSE(world_a.empty());
   ASSERT_FALSE(world_b.empty());
   const CountryCode target = world_a.front().country;
 
-  // One writer flips between the two worlds; readers hammer the
-  // query surface. Every observed result must match ONE world exactly —
-  // a mixed result means a query saw a half-swapped state.
+  // One writer flips between the two worlds, by load() and by the
+  // what-if cycle (a counterfactual apply_updates, then restore() of the
+  // shared world a); readers hammer the query surface. Every observed
+  // result must match ONE world exactly — a mixed result means a query
+  // saw a half-swapped state.
   std::atomic<bool> stop{false};
   std::atomic<int> mixed{0};
   std::thread writer([&] {
     for (int round = 0; round < 6; ++round) {
       pipeline.load(round % 2 == 0 ? f.ribs_b : f.ribs_a);
+      (void)pipeline.apply_updates(f.ribs_b);
+      (void)pipeline.restore(checkpoint_a);
     }
     stop.store(true, std::memory_order_release);
   });

@@ -15,7 +15,9 @@
 #include "gen/scenarios.hpp"
 #include "geo/geo_db.hpp"
 #include "geo/vp_geolocator.hpp"
+#include "io/snapshot_codec.hpp"
 #include "sanitize/asn_registry.hpp"
+#include "serve/snapshot.hpp"
 #include "topo/as_graph.hpp"
 
 namespace georank::core {
@@ -560,6 +562,32 @@ TEST(Pipeline, RestoreOfUnchangedWorldKeepsEveryShardAndMemo) {
   EXPECT_EQ(r.shards_kept, pipeline.store().shards().size());
   EXPECT_EQ(r.country_memos_evicted, 0u);
   EXPECT_EQ(r.country_memos_kept, census);
+}
+
+TEST(Pipeline, CheckpointSharesTheWorld) {
+  PipelineFixture f;
+  Pipeline pipeline{f.world.geo_db, f.world.vps, f.world.asn_registry,
+                    f.world.graph, f.config()};
+  pipeline.load(f.ribs);
+  const serve::SnapshotMeta meta{7, 7, "checkpoint"};
+  const std::string before =
+      io::encode_snapshot(serve::Snapshot::build(pipeline, meta));
+  const ShardedPathStore* store = &pipeline.store();
+  const PathShard* shards = pipeline.store().shards().data();
+
+  // apply_updates builds a fresh world next to the checkpointed one;
+  // restore() hands back the very world checkpoint() shared, not a copy.
+  const Pipeline::Checkpoint chk = pipeline.checkpoint();
+  (void)pipeline.apply_updates(
+      gen::RibGenerator{f.world, gen::NoiseSpec{}, 9}.generate(4));
+  EXPECT_NE(&pipeline.store(), store);
+  EXPECT_FALSE(io::encode_snapshot(serve::Snapshot::build(pipeline, meta)) ==
+               before);
+  (void)pipeline.restore(chk);
+  EXPECT_EQ(&pipeline.store(), store);
+  EXPECT_EQ(pipeline.store().shards().data(), shards);
+  EXPECT_TRUE(io::encode_snapshot(serve::Snapshot::build(pipeline, meta)) ==
+              before);
 }
 
 TEST(Pipeline, CheckpointBeforeLoadAndEmptyRestoreThrow) {

@@ -471,25 +471,25 @@ TEST(ShardedPathStore, DigestReflectsContentNotIdentity) {
   EXPECT_EQ(a.shard_digest(JP), c.shard_digest(JP));
 }
 
-// ---- Incremental rebuild: digest-verified shard reuse. ----
+// ---- patch(): the in-place edit of the live delta path. ----
 
-/// Queries after rebuild() must be indistinguishable from a fresh build
-/// of the same rows — kept shards included.
-void expect_equivalent_stores(const ShardedPathStore& rebuilt,
+/// Queries after patch() must be indistinguishable from a fresh build
+/// of the same rows — moved shards included.
+void expect_equivalent_stores(const ShardedPathStore& patched,
                               const ShardedPathStore& fresh) {
-  EXPECT_EQ(rebuilt.size(), fresh.size());
-  ASSERT_EQ(rebuilt.countries(), fresh.countries());
-  EXPECT_EQ(rebuilt.vp_countries(), fresh.vp_countries());
-  EXPECT_EQ(rebuilt.census_costs(), fresh.census_costs());
+  EXPECT_EQ(patched.size(), fresh.size());
+  ASSERT_EQ(patched.countries(), fresh.countries());
+  EXPECT_EQ(patched.vp_countries(), fresh.vp_countries());
+  EXPECT_EQ(patched.census_costs(), fresh.census_costs());
   topo::AsGraph graph = sample_graph();
   CountryRankings a{graph}, b{graph};
   for (CountryCode cc : fresh.countries()) {
-    EXPECT_EQ(rebuilt.shard_digest(cc), fresh.shard_digest(cc));
-    expect_same_selection(rebuilt.national_view(cc), fresh.national_view(cc));
-    expect_same_selection(rebuilt.international_view(cc),
+    EXPECT_EQ(patched.shard_digest(cc), fresh.shard_digest(cc));
+    expect_same_selection(patched.national_view(cc), fresh.national_view(cc));
+    expect_same_selection(patched.international_view(cc),
                           fresh.international_view(cc));
-    expect_same_selection(rebuilt.outbound_view(cc), fresh.outbound_view(cc));
-    CountryMetrics m1 = a.compute(rebuilt, cc);
+    expect_same_selection(patched.outbound_view(cc), fresh.outbound_view(cc));
+    CountryMetrics m1 = a.compute(patched, cc);
     CountryMetrics m2 = b.compute(fresh, cc);
     ASSERT_EQ(m1.cci.size(), m2.cci.size());
     for (std::size_t i = 0; i < m1.cci.size(); ++i) {
@@ -499,98 +499,24 @@ void expect_equivalent_stores(const ShardedPathStore& rebuilt,
   }
 }
 
-TEST(ShardedPathStore, RebuildKeepsUntouchedShards) {
-  auto paths = sample_paths();
-  ShardedPathStore store{paths};
-
-  // Touch only AU: bump the weight of the AU-VP/AU-prefix row.
-  auto changed = sample_paths();
-  changed[0].weight += 1;
-  ShardedPathStore::RebuildStats stats = store.rebuild(changed);
-  EXPECT_EQ(stats.shards_rebuilt, 1u);
-  EXPECT_EQ(stats.shards_kept, 2u);
-
-  ShardedPathStore fresh{changed};
-  expect_equivalent_stores(store, fresh);
-}
-
-TEST(ShardedPathStore, RebuildNoChangeKeepsEveryShard) {
-  auto paths = sample_paths();
-  ShardedPathStore store{paths};
-  ShardedPathStore::RebuildStats stats = store.rebuild(paths);
-  EXPECT_EQ(stats.shards_rebuilt, 0u);
-  EXPECT_EQ(stats.shards_kept, 3u);
-  expect_equivalent_stores(store, ShardedPathStore{paths});
-}
-
-TEST(ShardedPathStore, RebuildHandlesCountryAppearingAndVanishing) {
-  auto paths = sample_paths();
-  ShardedPathStore store{paths};
-
-  // Drop both rows touching JP (one as prefix country, one as VP
-  // country) and add a DE row: JP's shard must vanish, DE's must
-  // appear, and the surviving countries stay correct.
-  auto changed = sample_paths();
-  changed.pop_back();                       // the JP-prefix row
-  changed.erase(changed.begin() + 3);       // the JP-VP row
-  changed.push_back(mk(6, CountryCode::of("DE"), AsPath{104, 60, 202}, 5,
-                       CountryCode::of("DE")));
-  store.rebuild(changed);
-  EXPECT_EQ(store.shard(JP), nullptr);
-  ASSERT_NE(store.shard(CountryCode::of("DE")), nullptr);
-  expect_equivalent_stores(store, ShardedPathStore{changed});
-}
-
-TEST(ShardedPathStore, RebuildIsIdenticalAcrossThreadCounts) {
-  auto paths = sample_paths();
-  auto changed = sample_paths();
-  changed[2].weight += 7;
-  ShardedPathStore one{paths, 1};
-  ShardedPathStore sixteen{paths, 16};
-  one.rebuild(changed, 1);
-  sixteen.rebuild(changed, 16);
-  for (CountryCode cc : {AU, US, JP}) {
-    EXPECT_EQ(one.shard_digest(cc), sixteen.shard_digest(cc));
-  }
-}
-
-TEST(ShardedPathStore, RepeatedRebuildsStayEquivalent) {
-  auto paths = sample_paths();
-  ShardedPathStore store{paths};
-  // Interning survives across rebuilds until the dictionary compacts,
-  // so unique_path_count may count paths no current row uses — queries
-  // must stay equivalent regardless.
-  for (std::uint64_t round = 1; round <= 4; ++round) {
-    auto changed = sample_paths();
-    changed[0].weight = 256 + round;
-    store.rebuild(changed);
-    expect_equivalent_stores(store, ShardedPathStore{changed});
-  }
-}
-
 std::size_t row_hops(const std::vector<SanitizedPath>& paths) {
   std::size_t hops = 0;
   for (const SanitizedPath& sp : paths) hops += sp.path.size();
   return hops;
 }
 
-TEST(ShardedPathStore, CompactionBoundsTheDictionaryAcrossRebuilds) {
+TEST(ShardedPathStore, CompactionBoundsTheDictionaryAcrossPatches) {
   auto paths = sample_paths();
   ShardedPathStore store{paths};
   for (std::uint32_t round = 1; round <= 200; ++round) {
     // Row 0 takes a path no earlier round used, so without compaction
     // every round would leave three more dead hops in the arena.
-    // Alternate a full rebuild with a one-row patch.
     auto fresh = sample_paths();
     fresh[0].path = AsPath{100, 50, 1000 + round};
-    if (round % 2 == 0) {
-      store.rebuild(fresh);
-    } else {
-      const std::uint32_t row = 0;
-      store.patch(fresh, std::span{&row, 1}, std::span{&row, 1});
-    }
+    const std::uint32_t row = 0;
+    store.patch(fresh, std::span{&row, 1}, std::span{&row, 1});
     // Compaction fires once the arena passes twice the live rows' hops,
-    // and one rebuild adds at most the live rows' hops on top.
+    // and one patch adds at most the inserted rows' hops on top.
     EXPECT_LE(store.arena_hop_count(), 3 * row_hops(fresh)) << "round " << round;
     expect_equivalent_stores(store, ShardedPathStore{fresh});
   }
@@ -599,6 +525,7 @@ TEST(ShardedPathStore, CompactionBoundsTheDictionaryAcrossRebuilds) {
 TEST(ShardedPathStore, PatchRegathersOnlyTouchedShards) {
   auto paths = sample_paths();
   ShardedPathStore store{paths};
+  const bgp::VpId* au_column = store.shard(AU)->columns().vp;
 
   // Drop the JP-only row and insert a second US-prefix row from the US
   // VP between rows 2 and 3: JP and US change, AU keeps its rows.
@@ -607,29 +534,37 @@ TEST(ShardedPathStore, PatchRegathersOnlyTouchedShards) {
   patched.insert(patched.begin() + 3, mk(2, US, AsPath{101, 60, 202}, 5, US));
   const std::uint32_t erased[] = {6};
   const std::uint32_t inserted[] = {3};
-  const ShardedPathStore::RebuildStats stats =
-      store.patch(patched, erased, inserted);
+  store.patch(patched, erased, inserted);
   expect_equivalent_stores(store, ShardedPathStore{patched});
-  EXPECT_EQ(stats.shards_kept, 1u);     // AU, moved without a re-digest
-  EXPECT_EQ(stats.shards_rebuilt, 2u);  // US gained a row, JP lost one
+  // AU moved over without a re-gather: same column buffer, same digest.
+  EXPECT_EQ(store.shard(AU)->columns().vp, au_column);
   EXPECT_EQ(store.shard(AU)->digest(), ShardedPathStore{paths}.shard_digest(AU));
+  EXPECT_NE(store.shard(US)->digest(), ShardedPathStore{paths}.shard_digest(US));
+  EXPECT_NE(store.shard(JP)->digest(), ShardedPathStore{paths}.shard_digest(JP));
 
   // An edit that does not add up to the rows is refused, not applied.
   const std::uint32_t too_many[] = {0, 1};
   EXPECT_THROW(store.patch(patched, too_many, inserted), std::logic_error);
 }
 
-TEST(ShardedPathStore, RebuildToAndFromEmpty) {
+TEST(ShardedPathStore, PatchHandlesCountryAppearingAndVanishing) {
   auto paths = sample_paths();
   ShardedPathStore store{paths};
-  ShardedPathStore::RebuildStats stats =
-      store.rebuild(std::span<const SanitizedPath>{});
-  EXPECT_EQ(stats.shards_kept, 0u);
-  EXPECT_EQ(stats.shards_rebuilt, 0u);
-  EXPECT_TRUE(store.empty());
-  EXPECT_TRUE(store.shards().empty());
-  store.rebuild(paths);
-  expect_equivalent_stores(store, ShardedPathStore{paths});
+
+  // Erase both rows touching JP (row 3 with a JP VP, row 6 with a JP
+  // prefix) and insert a DE row at the end: JP's shard must vanish,
+  // DE's must appear, and the surviving countries stay correct.
+  auto patched = sample_paths();
+  patched.pop_back();
+  patched.erase(patched.begin() + 3);
+  patched.push_back(mk(6, CountryCode::of("DE"), AsPath{104, 60, 202}, 5,
+                       CountryCode::of("DE")));
+  const std::uint32_t erased[] = {3, 6};
+  const std::uint32_t inserted[] = {5};
+  store.patch(patched, erased, inserted);
+  EXPECT_EQ(store.shard(JP), nullptr);
+  ASSERT_NE(store.shard(CountryCode::of("DE")), nullptr);
+  expect_equivalent_stores(store, ShardedPathStore{patched});
 }
 
 }  // namespace

@@ -424,6 +424,41 @@ TEST(ApplyDelta, DeclinesWithoutTouchingTheWorld) {
   EXPECT_TRUE(pipeline.apply_delta(day, {}).has_value());
   EXPECT_TRUE(io::encode_snapshot(serve::Snapshot::build(pipeline, fixed_meta())) ==
               before);
+
+  // A Checkpoint held but not restored shares the current world, so the
+  // delta path declines rather than patch the checkpointed world.
+  const core::Pipeline::Checkpoint held = pipeline.checkpoint();
+  const bgp::RouteDelta withdraw{row.vp, row.prefix, row.path, std::nullopt};
+  EXPECT_FALSE(pipeline.apply_delta(day, std::span{&withdraw, 1}).has_value());
+  EXPECT_FALSE(pipeline.apply_delta(day, {}).has_value());
+  EXPECT_TRUE(io::encode_snapshot(serve::Snapshot::build(pipeline, fixed_meta())) ==
+              before);
+  // apply_updates builds a fresh world, which re-arms the delta path
+  // while the checkpoint is still held. Queries running meanwhile never
+  // share the world the way a checkpoint does, so they cannot make the
+  // delta path decline.
+  (void)pipeline.apply_updates(ribs);
+  {
+    std::atomic<bool> stop{false};
+    std::atomic<int> queries{0};
+    std::thread reader([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        (void)pipeline.country(row.prefix_country);
+        (void)pipeline.global_cone_by_as_count();  // a long, unmemoized read
+        queries.fetch_add(1, std::memory_order_release);
+      }
+    });
+    while (queries.load(std::memory_order_acquire) == 0) std::this_thread::yield();
+    for (int round = 0; round < 20; ++round) {
+      EXPECT_TRUE(pipeline.apply_delta(day, {}).has_value()) << "round " << round;
+    }
+    stop.store(true, std::memory_order_release);
+    reader.join();
+  }
+  // The checkpointed world kept its bytes.
+  (void)pipeline.restore(held);
+  EXPECT_TRUE(io::encode_snapshot(serve::Snapshot::build(pipeline, fixed_meta())) ==
+              before);
 }
 
 TEST(ApplyDelta, QueriesRaceApplyDelta) {
